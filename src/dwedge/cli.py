@@ -69,7 +69,7 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         cfg.update(file_cfg)
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -124,15 +124,21 @@ def _emit(summary: dict, out: str | None, csv_text: str | None = None) -> None:
 
 
 def _spec_from_cfg(cfg: dict) -> ens.EnsembleSpec:
+    """The ensemble of a config; a value EnsembleSpec rejects is a ConfigError."""
     law = cfg["law"]
     c2 = cfg["c2"]
-    if c2 is None or c2 == "matched":
-        c2 = ens.edge_matched_c2(law)
-    return ens.EnsembleSpec(
-        N=int(cfg["N"]), lam0=float(cfg["lam0"]),
-        potential=_potential_arg(cfg["potential"], int(cfg["N"])),
-        law=law, c2=float(c2), zero_diagonal=bool(cfg["zero_diagonal"]),
-        seed=int(cfg["seed"]))
+    try:
+        if c2 is None or c2 == "matched":
+            c2 = ens.edge_matched_c2(law)
+        return ens.EnsembleSpec(
+            N=int(cfg["N"]), lam0=float(cfg["lam0"]),
+            potential=_potential_arg(cfg["potential"], int(cfg["N"])),
+            law=law, c2=float(c2), zero_diagonal=bool(cfg["zero_diagonal"]),
+            seed=int(cfg["seed"]))
+    except ms.MeasureFormatError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"ensemble: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -442,127 +448,94 @@ def cmd_tw_table(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output stem; writes <out>.json and, for "
-                                 "table commands, <out>.csv")
+def _c2_arg(raw: str):
+    if raw == "matched":
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'matched' or a number, got {raw!r}") from None
+
+
+# One entry per config key: the add_argument options of its --flag.
+_FLAGS = {
+    "measure": {"help": "measure JSON (inline or file path)"},
+    "lam": {"type": float},
+    "gamma": {"type": float},
+    "lo": {"type": float},
+    "hi": {"type": float},
+    "points": {"type": int},
+    "eta": {"type": float},
+    "extrapolate": {"action": "store_const", "const": True,
+                    "help": "two-eta Richardson extrapolation of the density"},
+    "N": {"type": int},
+    "lam0": {"type": float},
+    "potential": {"help": "'zeros' or measure JSON for iid V"},
+    "law": {"choices": [ens.GAUSSIAN, ens.RADEMACHER]},
+    "c2": {"type": _c2_arg,
+           "help": "diagonal weight, or 'matched' for the edge-matched value "
+                   "1 - s4"},
+    "zero_diagonal": {"type": int,
+                      "help": "1 to zero the diagonal, 0 for noisy diagonal"},
+    "seed": {"type": int},
+    "n": {"type": int, "help": "number of samples (dbm: of trajectories)"},
+    "format": {"choices": ["csv", "binary"]},
+    "top_k": {"type": int},
+    "workers": {"type": int,
+                "help": "sample-level parallelism (default $DWEDGE_WORKERS)"},
+    "sigma0": {"type": float},
+    "delta": {"type": float},
+    "sizes": {"type": int, "nargs": "+", "metavar": "N"},
+    "times": {"type": float, "nargs": "+"},
+    "observable": {"choices": ["edge", "m-edge"],
+                   "help": "edge eigenvalue, or Im m at the moving edge"},
+    "suite": {"choices": ["identities", "local-law", "optical", "all"]},
+    "seeds": {"type": int, "help": "runs per suite"},
+    "step": {"type": float},
+    "out": {"help": "output stem; writes <out>.json and, for table "
+                    "commands, <out>.csv"},
+}
+
+_COMMANDS = {
+    "fc-solve": ("solve the deformed semicircle law on a grid; CSV columns "
+                 "E,re_m,im_m,density", FC_DEFAULTS, cmd_fc_solve),
+    "edge-scaling": ("edge-scaling constants and identity residuals as JSON",
+                     ES_DEFAULTS, cmd_edge_scaling),
+    "sample": ("draw deformed ensembles; spectra to CSV (sample_index,k,mu_k) "
+               "or binary", SAMPLE_DEFAULTS, cmd_sample),
+    "mc-edge": ("Monte Carlo edge statistics; CSV of rescaled samples plus "
+                "JSON summary", MC_DEFAULTS, cmd_mc_edge),
+    "regime": ("coupling-regime trichotomy runs; CSV columns N,sample,stat",
+               REGIME_DEFAULTS, cmd_regime),
+    "dbm": ("matrix flow observables; CSV columns trajectory,t,value",
+            DBM_DEFAULTS, cmd_dbm),
+    "verify": ("identity, local-law, and optical suites; JSON report, exit 3 "
+               "on fail", VERIFY_DEFAULTS, cmd_verify),
+    "tw-table": ("Tracy-Widom CDF table; CSV columns s,F1,F2",
+                 TW_DEFAULTS, cmd_tw_table),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with one --flag per key of its defaults."""
     ap = argparse.ArgumentParser(
         prog="dwedge",
         description="Deformed Wigner edge statistics: free-convolution "
                     "solver, edge scaling, matrix flow, and Monte Carlo "
                     "edge harness.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fc-solve", help="solve the deformed semicircle law "
-                                        "on a grid; CSV columns E,re_m,im_m,density")
-    _add_common(p)
-    p.add_argument("--measure", help="measure JSON (inline or file path)")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--extrapolate", action="store_const", const=True,
-                   help="two-eta Richardson extrapolation of the density")
-
-    p = sub.add_parser("edge-scaling", help="edge-scaling constants and "
-                                            "identity residuals as JSON")
-    _add_common(p)
-    p.add_argument("--measure")
-    p.add_argument("--lam", type=float)
-
-    p = sub.add_parser("sample", help="draw deformed ensembles; spectra to "
-                                      "CSV (sample_index,k,mu_k) or binary")
-    _add_common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--lam0", type=float)
-    p.add_argument("--potential", help="'zeros' or measure JSON for iid V")
-    p.add_argument("--law", choices=[ens.GAUSSIAN, ens.RADEMACHER])
-    p.add_argument("--c2", type=float)
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", type=int,
-                   help="1 to zero the diagonal, 0 for noisy diagonal")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--format", choices=["csv", "binary"])
-
-    p = sub.add_parser("mc-edge", help="Monte Carlo edge statistics; CSV of "
-                                       "rescaled samples plus JSON summary")
-    _add_common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--lam0", type=float)
-    p.add_argument("--potential", help="'zeros' or measure JSON for iid V")
-    p.add_argument("--law", choices=[ens.GAUSSIAN, ens.RADEMACHER])
-    p.add_argument("--c2", help="diagonal weight, or 'matched' (default) for "
-                                "the edge-matched value 1 - s4")
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--workers", type=int,
-                   help="sample-level parallelism (default $DWEDGE_WORKERS)")
-
-    p = sub.add_parser("regime", help="coupling-regime trichotomy runs; "
-                                      "CSV columns N,sample,stat")
-    _add_common(p)
-    p.add_argument("--measure")
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sizes", type=int, nargs="+", metavar="N")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("dbm", help="matrix flow observables; CSV columns "
-                                   "trajectory,t,value")
-    _add_common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--lam0", type=float)
-    p.add_argument("--potential")
-    p.add_argument("--law", choices=[ens.GAUSSIAN, ens.RADEMACHER])
-    p.add_argument("--c2", type=float)
-    p.add_argument("--zero-diagonal", dest="zero_diagonal", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int, help="number of trajectories")
-    p.add_argument("--times", type=float, nargs="+")
-    p.add_argument("--observable", choices=["edge", "m-edge"],
-                   help="edge eigenvalue, or Im m at the moving edge")
-
-    p = sub.add_parser("verify", help="identity, local-law, and optical "
-                                      "suites; JSON report, exit 3 on fail")
-    _add_common(p)
-    p.add_argument("--suite", choices=["identities", "local-law", "optical",
-                                       "all"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=int, help="runs per suite")
-
-    p = sub.add_parser("tw-table", help="Tracy-Widom CDF table; CSV columns "
-                                        "s,F1,F2")
-    _add_common(p)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--step", type=float)
-
+    for name, (help_line, defaults, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     return ap
-
-
-_COMMANDS = {
-    "fc-solve": (FC_DEFAULTS, cmd_fc_solve),
-    "edge-scaling": (ES_DEFAULTS, cmd_edge_scaling),
-    "sample": (SAMPLE_DEFAULTS, cmd_sample),
-    "mc-edge": (MC_DEFAULTS, cmd_mc_edge),
-    "regime": (REGIME_DEFAULTS, cmd_regime),
-    "dbm": (DBM_DEFAULTS, cmd_dbm),
-    "verify": (VERIFY_DEFAULTS, cmd_verify),
-    "tw-table": (TW_DEFAULTS, cmd_tw_table),
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    defaults, fn = _COMMANDS[args.command]
+    _, defaults, fn = _COMMANDS[args.command]
     try:
         cfg = _resolve(defaults, args)
         return fn(cfg)

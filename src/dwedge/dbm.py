@@ -53,7 +53,6 @@ class FlowState:
 
     t: float
     h: np.ndarray
-    spec: ens.EnsembleSpec
     rng: np.random.Generator
 
 
@@ -61,7 +60,7 @@ def start(spec: ens.EnsembleSpec, rng: np.random.Generator
           ) -> tuple[FlowState, np.ndarray]:
     """Draw the initial condition; returns the state and the potential."""
     h, v = ens.sample_deformed(spec, rng)
-    return FlowState(t=0.0, h=h, spec=spec, rng=rng), v
+    return FlowState(t=0.0, h=h, rng=rng), v
 
 
 def evolve(state: FlowState, dt: float) -> FlowState:
@@ -135,16 +134,13 @@ def goe_invariance_check(n: int, t: float, n_samples: int,
         raise ValueError("need at least two samples per batch")
     if t < 0.0:
         raise ValueError(f"need t >= 0, got {t}")
-    spec = ens.EnsembleSpec(N=n, lam0=0.0,
-                            potential=ens.Fixed(np.zeros(n)),
-                            law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
     top0, topt = [], []
     for _ in range(n_samples):
         h0 = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
         top0.append(np.linalg.eigvalsh(h0)[-1])
         state = FlowState(t=0.0, h=ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng,
                                                      zero_diagonal=True),
-                          spec=spec, rng=rng)
+                          rng=rng)
         if t > 0.0:
             state = evolve(state, t)
         topt.append(np.linalg.eigvalsh(state.h)[-1])

@@ -80,9 +80,16 @@ def flow_scaling(nu: ms.Measure, lam0: float, t: float) -> EdgeScaling:
     return build(nu, lam0 * np.exp(-t / 2.0))
 
 
-def _flow_any_t(nu, lam0, t):
-    # internal: finite-difference stencils may poke slightly below t = 0
-    return build(nu, lam0 * np.exp(-t / 2.0))
+def _flow_derivatives(nu: ms.Measure, lam0: float, t: float, h: float):
+    """Scaling at t with central differences in t of gamma, lam * gamma and
+    L+ under lam(t) = lam0 exp(-t/2); the lower node may sit below t = 0."""
+    if t < 0:
+        raise ValueError("need t >= 0")
+    mid, up, dn = (build(nu, lam0 * np.exp(-s / 2.0)) for s in (t, t + h, t - h))
+    gdot = (up.gamma - dn.gamma) / (2 * h)
+    lgdot = (up.lam * up.gamma - dn.lam * dn.gamma) / (2 * h)
+    zdot = (up.l_plus - dn.l_plus) / (2 * h)
+    return mid, gdot, lgdot, zdot
 
 
 def dot_z(nu: ms.Measure, lam0: float, t: float, h: float = 1e-5) -> tuple[float, float]:
@@ -92,15 +99,8 @@ def dot_z(nu: ms.Measure, lam0: float, t: float, h: float = 1e-5) -> tuple[float
 
     with finite-difference gamma', d(lam gamma)/dt, and the direct finite
     difference of L+(t).  Returns (formula, finite_difference)."""
-    if t < 0:
-        raise ValueError("need t >= 0")
-    mid = _flow_any_t(nu, lam0, t)
-    up = _flow_any_t(nu, lam0, t + h)
-    dn = _flow_any_t(nu, lam0, t - h)
-    gdot = (up.gamma - dn.gamma) / (2 * h)
-    lgdot = (up.lam * up.gamma - dn.lam * dn.gamma) / (2 * h)
+    mid, gdot, lgdot, fd = _flow_derivatives(nu, lam0, t, h)
     formula = -2.0 * gdot * mid.gamma * mid.A[1] + lgdot * mid.gamma**2 * mid.Ap[2]
-    fd = (up.l_plus - dn.l_plus) / (2 * h)
     return formula, fd
 
 
@@ -114,14 +114,7 @@ def coefficients(nu: ms.Measure, lam0: float, t: float,
     entering C2 is the independent finite difference of L+(t), so the
     vanishing is a genuine numerical statement.
     """
-    if t < 0:
-        raise ValueError("need t >= 0")
-    mid = _flow_any_t(nu, lam0, t)
-    up = _flow_any_t(nu, lam0, t + h)
-    dn = _flow_any_t(nu, lam0, t - h)
-    gdot = (up.gamma - dn.gamma) / (2 * h)
-    lgdot = (up.lam * up.gamma - dn.lam * dn.gamma) / (2 * h)
-    zdot = (up.l_plus - dn.l_plus) / (2 * h)
+    mid, gdot, lgdot, zdot = _flow_derivatives(nu, lam0, t, h)
     g, A, Ap = mid.gamma, mid.A, mid.Ap
     c2 = -lgdot * g**2 * Ap[2] + zdot + 2.0 * gdot * g * A[1]
     bracket = -lgdot * (Ap[3] - A[3] * Ap[4] / A[4]) \

@@ -18,15 +18,16 @@ provides
   * optical_window: the same residual, centered by the self-pairing
     offset of its index sums and averaged over an edge window, which is
     the form whose seed averages actually exhibit the cancellation rate,
-  * dos_window: smoothed (Poisson-kernel) versus exact eigenvalue counts
-    on an interval,
+  * dos_window: smoothed (Poisson-kernel, in closed form) versus exact
+    eigenvalue counts on an interval,
   * cumulant_expansion_residual: exact-moment verification of the
     integration-by-parts expansion used for non-Gaussian entries.
 
 The resolvent is computed through one complex symmetric-indefinite
 factorization per spectral point; the only routines that diagonalize a
-matrix are the two that evaluate it at many spectral points at once,
-dos_window and optical_window.
+matrix are dos_window, whose closed-form count needs only the spectrum,
+and optical_window, which evaluates the residual at many spectral points
+at once.
 """
 
 from __future__ import annotations
@@ -262,46 +263,14 @@ def optical_window(h, scaling: es.EdgeScaling, eta: float,
     return complex(acc / points)
 
 
-def _adaptive_simpson(f, a: float, b: float, panels: int = 256,
-                      rel_tol: float = 1e-9, depth: int = 24) -> float:
-    """Composite adaptive Simpson rule starting from a uniform panel grid."""
-    xs = np.linspace(a, b, panels + 1)
-    fs = [f(float(x)) for x in xs]
-    scale = max(abs(v) for v in fs) * (b - a) + 1e-300
-    tol = rel_tol * scale / panels
-    total = 0.0
-    for p in range(panels):
-        lo, hi = float(xs[p]), float(xs[p + 1])
-        mid, fmid, whole = _simpson_half(f, lo, fs[p], hi, fs[p + 1])
-        total += _simpson_refine(f, lo, fs[p], hi, fs[p + 1],
-                                 mid, fmid, whole, tol, depth)
-    return total
-
-
-def _simpson_half(f, a: float, fa: float, b: float, fb: float):
-    c = 0.5 * (a + b)
-    fc_ = f(c)
-    return c, fc_, (b - a) / 6.0 * (fa + 4.0 * fc_ + fb)
-
-
-def _simpson_refine(f, a, fa, b, fb, c, fc_, whole, tol, depth) -> float:
-    lm, flm, left = _simpson_half(f, a, fa, c, fc_)
-    rm, frm, right = _simpson_half(f, c, fc_, b, fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_simpson_refine(f, a, fa, c, fc_, lm, flm, left, 0.5 * tol, depth - 1)
-            + _simpson_refine(f, c, fc_, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-
 def dos_window(h, e1: float, e2: float, eta: float) -> tuple[float, int]:
     """Smoothed versus exact eigenvalue count on the window (e1, e2].
 
     The smoothed count is (N/pi) * integral of im m(y + i eta) over the
     window, i.e. the spectral measure convolved with the Poisson kernel
-    at scale eta.  Integration is adaptive Simpson on at least 200
-    panels; the integrand is evaluated from the spectrum, which costs
-    one eigensolve total instead of one factorization per node.
+    at scale eta.  The integral is exact in closed form,
+    (1/pi) sum_k [arctan((e2 - mu_k)/eta) - arctan((e1 - mu_k)/eta)],
+    from one eigensolve.
     """
     if not e1 < e2:
         raise ValueError(f"window needs e1 < e2, got ({e1}, {e2})")
@@ -309,11 +278,8 @@ def dos_window(h, e1: float, e2: float, eta: float) -> tuple[float, int]:
         raise ValueError(f"eta must be positive, got {eta}")
     arr = _square_real(h)
     mu = np.linalg.eigvalsh(arr)
-
-    def total_im(y: float) -> float:
-        return float(np.sum(eta / ((mu - y) ** 2 + eta * eta)))
-
-    smoothed = _adaptive_simpson(total_im, float(e1), float(e2)) / math.pi
+    smoothed = float(np.sum(np.arctan((e2 - mu) / eta)
+                            - np.arctan((e1 - mu) / eta))) / math.pi
     exact = int(np.count_nonzero((mu > e1) & (mu <= e2)))
     return smoothed, exact
 

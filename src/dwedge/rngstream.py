@@ -23,7 +23,3 @@ def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     key = int.from_bytes(hashlib.blake2b(token, digest_size=16).digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def substreams(seed: int, purpose: str, n: int) -> list[np.random.Generator]:
-    """n independent streams sharing a purpose, one per sample index."""
-    return [stream(seed, purpose, i) for i in range(n)]

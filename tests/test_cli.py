@@ -5,6 +5,7 @@ file outputs land in tmp_path.  The fc-solve check against the closed-form
 semicircle doubles as the smallest full-pipeline integration test.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -19,6 +20,14 @@ TWO_ATOM = '{"type":"atomic","atoms":[[-1.0,0.5],[1.0,0.5]]}'
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def exit_code(*argv):
+    """run(), with an argparse rejection read as its exit status."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +104,33 @@ def test_sample_csv_and_binary_agree(tmp_path):
     assert run(*args, "--format", "csv") == 2  # --out required
 
 
+def test_sample_accepts_matched_c2(tmp_path):
+    assert run("sample", "--N", "20", "--c2", "matched",
+               "--out", str(tmp_path / "m.csv")) == 0
+
+
+# ---------------------------------------------------------------------------
+# Ensemble values: a rejected value exits 2 with a message, never a traceback.
+
+BAD_ENSEMBLE = [("N", 1), ("lam0", -1.0), ("c2", -2.0), ("law", "cauchy")]
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-edge", "dbm"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", BAD_ENSEMBLE)
+def test_bad_ensemble_value_exits_2(tmp_path, capsys, command, source,
+                                    key, value):
+    argv = [command, "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--" + key, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    assert exit_code(*argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # mc-edge.
 
@@ -119,6 +155,11 @@ def test_mc_edge_flags_override_config(tmp_path, capsys):
     assert summary["config"]["N"] == 50   # from file
     assert summary["config"]["n"] == 4    # flag wins
     assert summary["n"] == 4
+
+
+def test_mc_edge_rejects_non_numeric_c2(capsys):
+    assert exit_code("mc-edge", "--c2", "abc") == 2
+    assert "'matched' or a number" in capsys.readouterr().err
 
 
 def test_mc_edge_unknown_config_key_exits_2(tmp_path, capsys):
@@ -208,3 +249,52 @@ def test_tw_table_stdout(capsys):
 
 def test_tw_table_bad_range_exits_2(capsys):
     assert run("tw-table", "--lo", "5", "--hi", "-5") == 2
+
+# ---------------------------------------------------------------------------
+# Parser contract: each subcommand's flags are exactly its config keys.
+
+def _subparser(name):
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def _flag_value(action, default):
+    """Command-line words for a value of this flag that differs from default."""
+    if action.nargs == 0:
+        return [], action.const
+    if action.choices:
+        pick = next(c for c in action.choices if c != default)
+        return [pick], pick
+    convert = action.type or str
+    word = "x" if convert is str else "7" if convert is int else "0.25"
+    if action.nargs == "+":
+        return [word, word], [convert(word)] * 2
+    return [word], convert(word)
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_parser_flags_match_defaults(name, capsys):
+    _, defaults, _ = cli._COMMANDS[name]
+    parser = _subparser(name)
+    flags = {a.option_strings[0]: a for a in parser._actions
+             if a.dest != "help"}
+    want = {"--" + k.replace("_", "-") for k in defaults} | {"--config", "--out"}
+    assert set(flags) == want
+
+    with pytest.raises(SystemExit) as e:
+        run(name, "--help")
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+    argv, expected = [name], {}
+    for key, default in defaults.items():
+        action = flags["--" + key.replace("_", "-")]
+        assert action.dest == key
+        words, value = _flag_value(action, default)
+        argv += [action.option_strings[0], *words]
+        expected[key] = value
+    cfg = cli._resolve(defaults, cli._build_parser().parse_args(argv))
+    for key, value in expected.items():
+        assert cfg[key] == value != defaults[key], key

@@ -28,7 +28,7 @@ def two_atom_spec(n, lam0=0.5):
 
 def wigner_state(n, seed, label):
     h = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(seed, label))
-    return dbm.FlowState(0.0, h, two_atom_spec(n), stream(seed, label + "n"))
+    return dbm.FlowState(0.0, h, stream(seed, label + "n"))
 
 
 # ------------------------------------------------------------- evolve
@@ -51,8 +51,7 @@ def test_evolve_rejects_nonpositive_dt():
 
 
 def test_stationary_law_from_zero():
-    state = dbm.FlowState(0.0, np.zeros((500, 500)), two_atom_spec(500),
-                          stream(26, "statn"))
+    state = dbm.FlowState(0.0, np.zeros((500, 500)), stream(26, "statn"))
     out = dbm.evolve(state, 50.0)
     off = ~np.eye(500, dtype=bool)
     assert abs(500 * np.mean(out.h[off] ** 2) - 1.0) < 0.02
@@ -62,7 +61,7 @@ def test_stationary_law_from_zero():
 
 def test_variance_preserved_along_flow():
     h = ens.sample_wigner(500, ens.GAUSSIAN, 0.0, stream(25, "varp"))
-    state = dbm.FlowState(0.0, h, two_atom_spec(500), stream(25, "varpn"))
+    state = dbm.FlowState(0.0, h, stream(25, "varpn"))
     off = ~np.eye(500, dtype=bool)
     for t in (0.5, 1.0, 4.0):
         state = dbm.evolve(state, t - state.t)
@@ -84,8 +83,7 @@ def test_semigroup_variance_bookkeeping():
     for a, b in ((0.3, 0.7), (1e-3, 2.0), (5.0, 5.0)):
         two_step = math.exp(-b) * -math.expm1(-a) - math.expm1(-b)
         assert two_step == pytest.approx(-math.expm1(-(a + b)), rel=1e-14)
-    state = dbm.FlowState(0.0, np.zeros((400, 400)), two_atom_spec(400),
-                          stream(27, "semig"))
+    state = dbm.FlowState(0.0, np.zeros((400, 400)), stream(27, "semig"))
     out = dbm.evolve(dbm.evolve(state, 0.4), 1.1)
     off = ~np.eye(400, dtype=bool)
     assert 400 * np.mean(out.h[off] ** 2) == pytest.approx(-math.expm1(-1.5),

@@ -3,7 +3,9 @@
 The Painleve route is pinned by the Fredholm-determinant oracle in
 tests/data/tw_oracle.json (regenerate with scripts/gen_tw_oracle.py); the
 two independent routes agree to about 1e-8 at the checked points, far
-inside the 1e-5 gate.  One deliberate reading: the far-right-tail check
+inside the 1e-5 gate.  Both take their Airy values from scipy.special,
+so the oracle comparison, not a separate Airy test, covers the Painleve
+initial data.  One deliberate reading: the far-right-tail check
 at s = 6 uses 3e-6 for F1 because the true tail there is 1.94e-6 (the
 stated 1e-6 describes the evaluation accuracy, which the oracle
 comparison covers, not the distance of F1(6) from 1).
@@ -42,37 +44,6 @@ TWO = ms.Atomic(locations=(-1.0, 1.0), weights=(0.5, 0.5))
 DELTA0 = ms.Atomic(locations=(0.0,), weights=(1.0,))
 ORACLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "tw_oracle.json").read_text())
-
-
-# ---------------------------------------------------------------------------
-# Airy function.
-
-# reference values frozen from scipy.special.airy
-AIRY_REF = {
-    -7.5: (0.3217757163806479, 0.31880950669855423),
-    -5.2: (0.2525803381047444, 0.6399051669012845),
-    -2.0: (0.22740742820168564, 0.618259020741691),
-    0.0: (0.3550280538878172, -0.2588194037928068),
-    1.0: (0.13529241631288147, -0.15914744129679328),
-    4.9: (1.3599211701506735e-4, -3.0761599633764933e-4),
-    5.1: (8.613242706478854e-5, -1.985325478818055e-4),
-    8.0: (4.6922076160992236e-8, -1.3414392979067844e-7),
-}
-
-
-def test_airy_against_frozen_reference():
-    for x, (ai, aip) in AIRY_REF.items():
-        got_ai, got_aip = tw._airy_ai(x)
-        assert abs(got_ai - ai) <= 1e-8 + 1e-5 * abs(ai)
-        assert abs(got_aip - aip) <= 1e-8 + 1e-5 * abs(aip)
-
-
-def test_airy_branches_are_continuous():
-    for x in (5.0, -5.0):
-        lo = tw._airy_ai(x - 1e-9)
-        hi = tw._airy_ai(x + 1e-9)
-        assert abs(lo[0] - hi[0]) < 1e-7
-        assert abs(lo[1] - hi[1]) < 1e-7
 
 
 # ---------------------------------------------------------------------------
