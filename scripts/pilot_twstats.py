@@ -7,8 +7,8 @@ re-deriving thresholds; not part of the test run.
 
 import numpy as np
 
+from dwedge import edgescale as es
 from dwedge import ensemble as ens
-from dwedge import freeconv as fc
 from dwedge import measure as ms
 from dwedge import twstats as tw
 
@@ -54,9 +54,8 @@ def main():
         if out["case"] != "iii":
             # the Gaussian alternative in N^(2/3)(mu_1 - E_plus) units, as
             # criterion 9 builds it: sigma^2 = (1 - m_fc(E+)^2) N^(1/3)
-            m_edge = fc.solve_point(NU, out["lam0"], 1.0,
-                                    complex(out["e_plus"], 1e-12))
-            alts.append(tw.LimitLaw(tw.GAUSS, (1.0 - m_edge.real ** 2)
+            m_edge = es.build(NU, out["lam0"]).zeta - out["e_plus"]
+            alts.append(tw.LimitLaw(tw.GAUSS, (1.0 - m_edge ** 2)
                                     * 800 ** (1.0 / 3.0)))
         print(f"regime delta={delta:.4f} seed={seed}: case {out['case']} "
               f"ks={out['ks']:.4f} law={out['law']}", flush=True)

@@ -214,21 +214,18 @@ SAMPLE_DEFAULTS = {
 
 
 def cmd_sample(cfg: dict) -> int:
+    if cfg["out"] is None:
+        raise ConfigError("sample: --out is required")
+    writers = {"binary": ens.write_spectra_binary, "csv": ens.write_spectra_csv}
+    if cfg["format"] not in writers:
+        raise ConfigError(f"sample.format: unknown format {cfg['format']!r}")
     spec = _spec_from_cfg(cfg)
     spectra = []
     for j in range(int(cfg["n"])):
         rng = rngstream.stream(spec.seed, "sample", j)
         h, _ = ens.sample_deformed(spec, rng)
         spectra.append(ens.eigenvalues(h, spec, j))
-    cfg = dict(cfg, potential=ens.spec_to_json(spec)["potential"])
-    if cfg["out"] is None:
-        raise ConfigError("sample: --out is required")
-    if cfg["format"] == "binary":
-        ens.write_spectra_binary(cfg["out"], spectra)
-    elif cfg["format"] == "csv":
-        ens.write_spectra_csv(cfg["out"], spectra)
-    else:
-        raise ConfigError(f"sample.format: unknown format {cfg['format']!r}")
+    writers[cfg["format"]](cfg["out"], spectra)
     print(f"wrote {cfg['out']}")
     return 0
 
@@ -315,7 +312,8 @@ def cmd_dbm(cfg: dict) -> int:
         else:
             raise ConfigError(f"dbm.observable: unknown observable "
                               f"{cfg['observable']!r}")
-    cfg = dict(cfg, times=times, potential=ens.spec_to_json(spec)["potential"])
+    cfg = dict(cfg, times=times, c2=spec.c2,
+               potential=ens.spec_to_json(spec)["potential"])
     per_time = {str(t): {"mean": float(np.mean(v)), "sd": float(np.std(v))}
                 for t, v in values.items()}
     extra = {"per_time": per_time}

@@ -12,12 +12,14 @@ endpoints from the defining equation of the rightmost edge:
     integral dnu(v) / (lam v - theta)^2 = 1,   theta > lam v_max,
     E_plus = theta - integral dnu(v) / (lam v - theta).
 
-Iteration scheme: damped fixed point (alpha = 0.5, fallback 0.1 on
-stagnation, restart from i when an iterate leaves the closed upper half
-plane) with a guarded local-quadratic polish step.  Near the spectral edge
-the map's derivative approaches 1 like a square root and plain damping
-needs O(1/sqrt(kappa + eta)) iterations; the quadratic model captures the
-branch point and cuts this to a handful of steps once the iterate is close.
+Iteration scheme: Newton on G(m) = m - F(m) from m = i, which is Newton in
+the subordination variable omega = z + gamma^2 m (affine in m), where the
+equation reads z = omega - gamma^2 g(omega) with g(omega) = integral
+dnu(v) / (lam gamma v - omega) (Biane 1997).  Each point takes the step
+t * (-G/G'); t halves when the candidate leaves the closed upper half plane
+or fails to lower |G|, and doubles back towards 1 after each accepted step.
+G is analytic, so wherever G' != 0 a short enough Newton step lowers |G|
+and the halving ends.
 """
 
 from __future__ import annotations
@@ -61,109 +63,51 @@ class FreeConvolutionSolution:
     density: np.ndarray
 
 
-def _maps(nu, lam, gamma, z, m, order=2):
-    """F(m), F'(m) and optionally F''(m) for the fixed-point map."""
+def _maps(nu, lam, gamma, z, m):
+    """F(m) and F'(m) for the fixed-point map."""
     g2 = gamma * gamma
     s = lam * gamma
     if s < 1e-50:
         # coupling this small is indistinguishable from zero at tolerance
         d = -(z + g2 * m)
-        f = 1.0 / d
-        fp = g2 / (d * d)
-        fpp = 2.0 * g2 * g2 / (d * d * d) if order > 1 else None
-        return f, fp, fpp
-    # multiply by 1/s one factor at a time: s^2, s^3 can underflow even
-    # when the mathematical results are well scaled
+        return 1.0 / d, g2 / (d * d)
+    # multiply by 1/s one factor at a time: s^2 can underflow even when the
+    # mathematical results are well scaled
     inv = 1.0 / s
     w = (z + g2 * m) * inv
     f = ms.stieltjes_power_array(nu, w, 1) * inv
     fp = g2 * (ms.stieltjes_power_array(nu, w, 2) * inv) * inv
-    fpp = None
-    if order > 1:
-        fpp = 2.0 * g2 * g2 * ((ms.stieltjes_power_array(nu, w, 3) * inv) * inv) * inv
-    return f, fp, fpp
+    return f, fp
 
 
-def _quad_step(m, f, fp, fpp):
-    """Root of the local quadratic model of g(m) = m - F(m) nearest to m.
-
-    Solves g + g'*d + g''*d^2/2 = 0 via the Muller form d = -2g/(g' +- sqrt),
-    which stays stable when g'' is tiny (reduces to a Newton step).
-    """
-    g = m - f
-    gp = 1.0 - fp
-    gpp = -fpp
-    disc = np.sqrt(gp * gp - 2.0 * g * gpp)
-    den = np.where(np.abs(gp + disc) >= np.abs(gp - disc), gp + disc, gp - disc)
-    bad = np.abs(den) < 1e-300
-    den = np.where(bad, 1.0, den)
-    d = np.where(bad, 0.0, -2.0 * g / den)
-    return m + d, np.abs(d)
-
-
-def _solve_many(nu, lam, gamma, z, tol, max_iter, m0=None):
-    """Vectorized fixed-point solve; returns m with |m - F(m)| < tol."""
+def _solve_many(nu, lam, gamma, z, tol, max_iter):
+    """Vectorized Newton solve from m = i; returns m with |m - F(m)| < tol."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    m = np.full(z.shape, 1j, dtype=complex) if m0 is None else \
-        np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
-    out = np.empty_like(m)
+    out = np.empty(z.shape, dtype=complex)
     idx = np.arange(z.size)
-    zi, mi = z.ravel().copy(), m.ravel().copy()
-    alpha = np.full(zi.shape, 0.5)
-    ban = np.zeros(zi.shape, dtype=int)      # iterations until polish re-enabled
-    r_prev = np.full(zi.shape, np.inf)
-    accel_prev = np.zeros(zi.shape, dtype=bool)
-    m_prev, f_prev = mi.copy(), mi.copy()
-    r_mark = np.full(zi.shape, np.inf)
+    zi = z.ravel()
+    mi = np.full(zi.shape, 1j)
+    f, fp = _maps(nu, lam, gamma, zi, mi)
+    r = np.abs(mi - f)
+    t = np.ones(zi.shape)
 
     for it in range(max_iter):
-        f, fp, fpp = _maps(nu, lam, gamma, zi, mi)
-        r = np.abs(mi - f)
-
-        # a polish step that increased the residual gets rolled back to a
-        # damped step from the saved previous iterate
-        undo = accel_prev & (r > r_prev)
-        if undo.any():
-            mi[undo] = (1.0 - alpha[undo]) * m_prev[undo] + alpha[undo] * f_prev[undo]
-            ban[undo] = 50
-            f2, fp2, fpp2 = _maps(nu, lam, gamma, zi[undo], mi[undo])
-            f[undo], fp[undo], fpp[undo] = f2, fp2, fpp2
-            r[undo] = np.abs(mi[undo] - f2)
-
+        # step t * (-G/G') on G(m) = m - F(m); halve t on a candidate that
+        # leaves the closed upper half plane or does not lower |G|
+        cand = mi - t * (mi - f) / (1.0 - fp)
+        f_c, fp_c = _maps(nu, lam, gamma, zi, cand)
+        r_c = np.abs(cand - f_c)
+        ok = (cand.imag >= 0.0) & (r_c < r)
+        mi, f, fp, r = (np.where(ok, new, old) for new, old in
+                        ((cand, mi), (f_c, f), (fp_c, fp), (r_c, r)))
+        t = np.where(ok, np.minimum(1.0, 2.0 * t), 0.5 * t)
         done = r < tol
         if done.any():
             out.ravel()[idx[done]] = mi[done]
             keep = ~done
-            idx, zi, mi, alpha, ban = idx[keep], zi[keep], mi[keep], alpha[keep], ban[keep]
-            r, f, fp, fpp = r[keep], f[keep], fp[keep], fpp[keep]
-            r_prev, r_mark = r_prev[keep], r_mark[keep]
-            m_prev, f_prev = m_prev[keep], f_prev[keep]
-            accel_prev = accel_prev[keep]
+            idx, zi, mi, f, fp, r, t = (a[keep] for a in (idx, zi, mi, f, fp, r, t))
             if idx.size == 0:
                 return out, it + 1
-        if it % 64 == 63:
-            stale = r > 0.9 * r_mark
-            alpha[stale] = 0.1
-            r_mark = r.copy()
-
-        m_prev, f_prev, r_prev = mi.copy(), f.copy(), r.copy()
-        damped = (1.0 - alpha) * mi + alpha * f
-        use_acc = (it >= 20) & (r < 0.1) & (ban <= 0)
-        ban -= 1
-        if use_acc.any():
-            acc, step = _quad_step(mi, f, fp, fpp)
-            good = use_acc & (step < 1.0) & (acc.imag >= -1e-14) & np.isfinite(acc)
-            mi = np.where(good, acc, damped)
-            accel_prev = good
-        else:
-            mi = damped
-            accel_prev = np.zeros(zi.shape, dtype=bool)
-        # branch guard: restart from i whenever the iterate dips below the axis
-        lost = mi.imag < -1e-14
-        if lost.any():
-            mi[lost] = 1j
-            alpha[lost] = 0.1
-            accel_prev[lost] = False
 
     worst = int(np.argmax(r))
     raise IterationError(
@@ -245,22 +189,11 @@ def support_endpoints(nu: ms.Measure, lam: float) -> tuple[float, float]:
 def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
                n: int, eta: float, tol: float = 1e-12,
                max_iter: int = 10_000) -> FreeConvolutionSolution:
-    """Solve along linspace(lo, hi, n) + i*eta with block warm starts."""
+    """Solve along linspace(lo, hi, n) + i*eta."""
     if not (lo < hi and n >= 2 and eta > 0):
         raise ValueError("need lo < hi, n >= 2, eta > 0")
     grid = np.linspace(lo, hi, n)
-    m = np.empty(n, dtype=complex)
-    block = 256
-    warm = None
-    for start in range(0, n, block):
-        sl = slice(start, min(start + block, n))
-        try:
-            m[sl], _ = _solve_many(nu, lam, gamma, grid[sl] + 1j * eta,
-                                   tol, max_iter, m0=warm)
-        except IterationError as e:
-            raise IterationError(str(e), e.residual,
-                                 index=start + (e.index or 0)) from e
-        warm = m[sl][-1]
+    m, _ = _solve_many(nu, lam, gamma, grid + 1j * eta, tol, max_iter)
     th_m, th_p, e_m, e_p = _outer_roots(nu, lam)
     return FreeConvolutionSolution(
         nu=nu, lam=lam, gamma=gamma, grid=grid, m=m, eta=eta,

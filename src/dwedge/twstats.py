@@ -418,8 +418,9 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
         if case == "iii":
             if lam0 <= 0.0:
                 raise ValueError("case iii needs sigma0 > 0")
-            m_edge = fc.solve_point(nu, lam0, 1.0, complex(e_plus, 1e-12))
-            sigma2 = (1.0 - m_edge.real ** 2) / lam0 ** 2
+            # exact at the edge root zeta: m_fc(E_plus) = zeta - E_plus
+            m_edge = es.build(nu, lam0).zeta - e_plus
+            sigma2 = (1.0 - m_edge ** 2) / lam0 ** 2
             law = LimitLaw(GAUSS, sigma2)
             pref = math.sqrt(n) / lam0
             for j in range(n_samples):

@@ -253,9 +253,9 @@ def test_criterion_09_regime_trichotomy():
             # the Gaussian alternative, expressed in this case's
             # N^(2/3)(mu_1 - E_plus) units: sigma^2 = (1 - m_fc(E+)^2) N^(1/3)
             e_plus = out["e_plus"]
-            m_edge = fc.solve_point(TWO, lam0, 1.0, complex(e_plus, 1e-12))
+            m_edge = es.build(TWO, lam0).zeta - e_plus
             alts.append(tw.LimitLaw(tw.GAUSS,
-                                    (1.0 - m_edge.real ** 2) * 800 ** (1.0 / 3.0)))
+                                    (1.0 - m_edge ** 2) * 800 ** (1.0 / 3.0)))
         for alt in alts:
             label = alt.variant + (f"({alt.sigma2:.3g})"
                                    if alt.variant == tw.GAUSS else "")

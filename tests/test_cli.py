@@ -87,6 +87,12 @@ def test_edge_scaling_assumption_failed(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "assumption_failed"
 
 
+def test_edge_scaling_past_critical_coupling(capsys):
+    # the two-atom law keeps a square-root edge up to lam = 1
+    assert run("edge-scaling", "--measure", TWO_ATOM, "--lam", "1.01") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "assumption_failed"
+
+
 # ---------------------------------------------------------------------------
 # sample.
 
@@ -101,7 +107,20 @@ def test_sample_csv_and_binary_agree(tmp_path):
     from_bin = ens.read_spectra_binary(str(bin_path))
     assert from_bin.shape == (3, 40)
     assert np.allclose(rows[:40, 2], from_bin[0])
-    assert run(*args, "--format", "csv") == 2  # --out required
+
+
+@pytest.mark.parametrize("cfg", [{}, {"format": "xml", "out": "s.bin"}])
+def test_sample_checks_out_and_format_before_sampling(tmp_path, monkeypatch,
+                                                      cfg):
+    # no --out, or a format that only a config file can give: refused
+    # before any matrix is drawn
+    calls, draw = [], ens.sample_deformed
+    monkeypatch.setattr(ens, "sample_deformed",
+                        lambda *a: calls.append(a) or draw(*a))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("sample", "--N", "40", "--n", "3", "--config", str(path)) == 2
+    assert calls == []
 
 
 def test_sample_accepts_matched_c2(tmp_path):
@@ -190,12 +209,13 @@ def test_regime_critical_names_convolution_law(tmp_path):
 def test_dbm_edge_observable(tmp_path):
     out = tmp_path / "flow"
     assert run("dbm", "--N", "50", "--n", "6", "--times", "0", "0.5", "1",
-               "--seed", "2", "--out", str(out)) == 0
+               "--seed", "2", "--c2", "matched", "--out", str(out)) == 0
     rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert rows.shape == (18, 3)
     summary = json.loads(out.with_suffix(".json").read_text())
     assert "ks_first_last" in summary
     assert set(summary["per_time"]) == {"0.0", "0.5", "1.0"}
+    assert summary["config"]["c2"] == 1.0  # matched diagonal resolved
 
 
 def test_dbm_m_edge_observable(tmp_path):

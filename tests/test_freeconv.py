@@ -54,6 +54,18 @@ def test_iteration_error_carries_residual():
     assert exc.value.residual > 0
 
 
+def test_solve_grid_error_index_is_global():
+    # the reported index is the global one, so that point fails on its own
+    # too, at the same iteration budget
+    grid = np.linspace(-1.0, 2.5, 1001)
+    with pytest.raises(fc.IterationError) as exc:
+        fc.solve_grid(D0, 0.0, 1.0, -1.0, 2.5, grid.size, 1e-9, max_iter=6)
+    k = exc.value.index
+    assert 256 < k < grid.size
+    with pytest.raises(fc.IterationError):
+        fc.solve_point(D0, 0.0, 1.0, complex(grid[k], 1e-9), max_iter=6)
+
+
 def test_solve_grid_semicircle_density():
     sol = fc.solve_grid(D0, 0.0, 1.0, -3.0, 3.0, 1201, 1e-6)
     rho = np.sqrt(np.clip(4.0 - sol.grid**2, 0.0, None)) / (2.0 * np.pi)
@@ -61,7 +73,7 @@ def test_solve_grid_semicircle_density():
     assert np.max(np.abs(sol.density - rho)[core]) < 1e-6
     assert sol.support == pytest.approx((-2.0, 2.0), abs=1e-10)
     # residual invariant on every stored point
-    f, _, _ = fc._maps(D0, 0.0, 1.0, sol.grid + 1j * sol.eta, sol.m)
+    f, _ = fc._maps(D0, 0.0, 1.0, sol.grid + 1j * sol.eta, sol.m)
     assert np.max(np.abs(sol.m - f)) < 1e-10
     assert np.all(sol.m.imag >= 0)
 
@@ -118,6 +130,22 @@ def test_density_mass_over_support():
     em, ep = fc.support_endpoints(TWO, 0.5)
     sol = fc.solve_grid(TWO, 0.5, 1.0, em, ep, 4001, 1e-6)
     assert np.trapezoid(sol.density, sol.grid) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.99, 0.999, 1.0])
+def test_near_critical_coupling(lam):
+    # the margin 1 - lam^2 of the two-atom law closes at lam = 1, where the
+    # density at E = 0 pinches to zero
+    em, ep = fc.support_endpoints(TWO, lam)
+    sol = fc.solve_grid(TWO, lam, 1.0, em, ep, 4001, 1e-6)
+    assert np.all(np.isfinite(sol.m))
+    assert np.all(sol.m.imag >= 0)
+    assert np.trapezoid(sol.density, sol.grid) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_past_critical_coupling_violates_assumption():
+    with pytest.raises(fc.AssumptionViolatedError):
+        fc.support_endpoints(TWO, 1.01)
 
 
 def test_im_continuity_in_eta():
@@ -208,7 +236,7 @@ def measures_and_z(draw):
 def test_solver_invariants(case):
     nu, lam, z = case
     m = fc.solve_point(nu, lam, 1.0, z)
-    f, _, _ = fc._maps(nu, lam, 1.0, np.array([z]), np.array([m]))
+    f, _ = fc._maps(nu, lam, 1.0, np.array([z]), np.array([m]))
     assert abs(m - complex(f[0])) < 1e-12
     assert m.imag >= 0
     assert abs(m) <= 1.0 / z.imag + 1e-9

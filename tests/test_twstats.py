@@ -392,7 +392,12 @@ def test_regime_subcritical_matches_gaussian():
     out = tw.regime_test(TWO, 0.5, 0.0, [400], 400, seed=36)[0]
     assert out["case"] == "iii"
     assert out["law"].variant == tw.GAUSS
-    assert out["law"].sigma2 == pytest.approx(0.5359032318126444, abs=1e-9)
+    # closed form for the two-atom law: theta^2 = u solves the edge equation,
+    # m_fc(E+)^2 = u / (u - lam^2)^2 and sigma^2 = (1 - m_fc(E+)^2) / lam^2
+    lam = 0.5
+    u = ((2 * lam**2 + 1) + math.sqrt(8 * lam**2 + 1)) / 2
+    want = (1 - u / (u - lam**2) ** 2) / lam**2
+    assert out["law"].sigma2 == pytest.approx(want, abs=1e-12)
     assert out["ks"] < 0.09
 
 
