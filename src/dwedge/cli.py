@@ -168,6 +168,9 @@ def cmd_fc_solve(cfg: dict) -> int:
         lo, hi = float(cfg["lo"]), float(cfg["hi"])
     eta = float(cfg["eta"])
     sol = fc.solve_grid(nu, lam, gamma, lo, hi, int(cfg["points"]), eta)
+    # unchecked outer edges: a split support reports its hull, and a law
+    # with no edge root fails here, before the extrapolation solve
+    support = list(sol.support)
     if cfg["extrapolate"]:
         # Im m(E+i eta) carries an O(eta) bias; the two-eta combination
         # cancels it inside and outside the support alike.
@@ -175,10 +178,9 @@ def cmd_fc_solve(cfg: dict) -> int:
         density = (2.0 * half.m.imag - sol.m.imag) / np.pi
         sol = fc.FreeConvolutionSolution(
             nu=nu, lam=lam, gamma=gamma, grid=sol.grid, m=sol.m, eta=eta,
-            support=sol.support, density=density)
+            density=density)
     cfg = dict(cfg, lo=lo, hi=hi, measure=ms.to_json(nu))
-    summary = _summary("fc-solve", cfg,
-                       support=[sol.support[0], sol.support[1]],
+    summary = _summary("fc-solve", cfg, support=support,
                        mass=float(np.trapezoid(sol.density, sol.grid)),
                        peak=float(sol.density.max()))
     _emit(summary, cfg["out"], fc.solution_to_csv(sol))
@@ -224,7 +226,7 @@ def cmd_sample(cfg: dict) -> int:
     for j in range(int(cfg["n"])):
         rng = rngstream.stream(spec.seed, "sample", j)
         h, _ = ens.sample_deformed(spec, rng)
-        spectra.append(ens.eigenvalues(h, spec, j))
+        spectra.append(ens.eigenvalues(h, sample_index=j))
     writers[cfg["format"]](cfg["out"], spectra)
     print(f"wrote {cfg['out']}")
     return 0
@@ -306,7 +308,7 @@ def cmd_dbm(cfg: dict) -> int:
             for t in times:
                 if t > state.t:
                     state = dbm.evolve(state, t - state.t)
-                mu1 = ens.eigenvalues(state.h, spec, j).eigenvalues[0]
+                mu1 = ens.eigenvalues(state.h).eigenvalues[0]
                 lines.append(f"{j},{t},{float(mu1)!r}")
                 values[t].append(mu1)
         else:

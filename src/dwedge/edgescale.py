@@ -9,8 +9,10 @@ is encoded by
     tau  = gamma * zeta,   L+ = gamma * E+,
 
 so that the gamma-rescaled law has a square-root edge at L+ with the
-semicircle's 1/pi amplitude.  The resolvent expansions along the flow are
-driven by the edge moments
+semicircle's 1/pi amplitude.  zeta, E+ and the lower edge E- come from
+freeconv._edge_roots, the one place edge data is computed; build adds the
+rescaling on top and solves no edge root of its own.  The resolvent
+expansions along the flow are driven by the edge moments
 
     A_n  = integral dnu(v) / (lam gamma v - tau)^n,
     A'_n = integral v dnu(v) / (lam gamma v - tau)^n,
@@ -39,18 +41,14 @@ class EdgeScaling:
     tau: float
     l_plus: float
     e_plus: float
+    e_minus: float
     A: dict[int, float]
     Ap: dict[int, float]
 
 
 def build(nu: ms.Measure, lam: float) -> EdgeScaling:
     """Edge scaling data for (nu, lam); lam = 0 degenerates to the semicircle."""
-    if lam < 0:
-        raise ValueError("need lam >= 0")
-    if lam > 0 and fc.assumption_margin(nu, lam) < 0:
-        raise fc.AssumptionViolatedError(
-            "min over the support hull of integral dnu/(v-x)^2 is below lam^2")
-    _, zeta, _, _ = fc._outer_roots(nu, lam)
+    _, zeta, e_minus, e_plus = fc._edge_roots(nu, lam)
     _, vmax = ms.support_interval(nu)
     if zeta - lam * vmax <= 1e-6:
         raise fc.AssumptionViolatedError(
@@ -58,13 +56,12 @@ def build(nu: ms.Measure, lam: float) -> EdgeScaling:
     third = ms.deformed_power(nu, lam, zeta, 3)
     gamma = (-third) ** (-1.0 / 3.0)
     tau = gamma * zeta
-    e_plus = zeta - ms.deformed_power(nu, lam, zeta, 1)
     l_plus = gamma * e_plus
     s = lam * gamma
     A = {n: ms.deformed_power(nu, s, tau, n) for n in range(1, 5)}
     Ap = {n: ms.deformed_power(nu, s, tau, n, weight=1) for n in range(2, 5)}
     return EdgeScaling(nu=nu, lam=lam, zeta=zeta, gamma=gamma, tau=tau,
-                       l_plus=l_plus, e_plus=e_plus, A=A, Ap=Ap)
+                       l_plus=l_plus, e_plus=e_plus, e_minus=e_minus, A=A, Ap=Ap)
 
 
 def verify_gamma_relation(s: EdgeScaling) -> float:

@@ -10,7 +10,11 @@ along the matrix flow.  Densities come from Stieltjes inversion, support
 endpoints from the defining equation of the rightmost edge:
 
     integral dnu(v) / (lam v - theta)^2 = 1,   theta > lam v_max,
-    E_plus = theta - integral dnu(v) / (lam v - theta).
+    E_plus = theta - integral dnu(v) / (lam v - theta),
+
+and its mirror image on the left.  _edge_roots is the one place that edge
+data is computed: it checks the regularity assumption once and solves both
+roots, and support_endpoints and edgescale.build both read it.
 
 Iteration scheme: Newton on G(m) = m - F(m) from m = i, which is Newton in
 the subordination variable omega = z + gamma^2 m (affine in m), where the
@@ -59,8 +63,14 @@ class FreeConvolutionSolution:
     grid: np.ndarray
     m: np.ndarray
     eta: float
-    support: tuple[float, float]
     density: np.ndarray
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """(gamma E_minus, gamma E_plus), unchecked: a split support gives
+        the outer hull."""
+        _, _, e_m, e_p = _outer_roots(self.nu, self.lam)
+        return self.gamma * e_m, self.gamma * e_p
 
 
 def _maps(nu, lam, gamma, z, m):
@@ -125,9 +135,11 @@ def solve_point(nu: ms.Measure, lam: float, gamma: float, z,
 
 def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
     """(theta_minus, theta_plus, E_minus, E_plus) for the gamma = 1 law."""
-
     if lam < 1e-50:
         return -1.0, 1.0, -2.0, 2.0
+    # imported on use: loading scipy.optimize ahead of measure's
+    # scipy.special made `import dwedge.cli` about 0.1 s slower
+    from scipy.optimize import brentq
 
     def phi(theta):
         # integral dnu / (lam v - theta)^2, real theta outside lam * support
@@ -136,23 +148,16 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
     vmin, vmax = ms.support_interval(nu)
     out = []
     for side in (+1, -1):
-        edge = lam * (vmax if side > 0 else vmin) if lam > 0 else 0.0
-        lo = edge + side * 1e-12
-        hi = edge + side * (10.0 + 10.0 * lam)
-        if not phi(lo) > 1.0:
+        edge = lam * (vmax if side > 0 else vmin)
+        near = edge + side * 1e-12
+        far = edge + side * (10.0 + 10.0 * lam)
+        if not phi(near) > 1.0:
             raise AssumptionViolatedError(
                 f"no edge root above {edge:.6g}: the deformation is too strong "
                 "for a square-root edge on this side")
-        # phi decreases monotonically away from the support; bisect phi = 1
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if abs(hi - lo) < 1e-15 * max(1.0, abs(hi)):
-                break
-        theta = 0.5 * (lo + hi)
+        # phi decreases monotonically away from the support, so the bracket
+        # holds exactly one root of phi = 1
+        theta = brentq(lambda th: phi(th) - 1.0, *sorted((near, far)), xtol=1e-15)
         mval = ms.deformed_power(nu, lam, theta, 1)
         out.append((theta, theta - mval))
     (th_p, e_p), (th_m, e_m) = out
@@ -175,14 +180,19 @@ def assumption_margin(nu: ms.Measure, lam: float) -> float:
     return float(np.min(vals) - lam * lam)
 
 
-def support_endpoints(nu: ms.Measure, lam: float) -> tuple[float, float]:
-    """(E_minus, E_plus) for the gamma = 1 deformed law."""
+def _edge_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
+    """_outer_roots after the regularity check on (nu, lam)."""
     if lam < 0:
         raise ValueError("need lam >= 0")
     if lam > 0 and assumption_margin(nu, lam) < 0:
         raise AssumptionViolatedError(
             "min over the support hull of integral dnu/(v-x)^2 is below lam^2")
-    _, _, e_m, e_p = _outer_roots(nu, lam)
+    return _outer_roots(nu, lam)
+
+
+def support_endpoints(nu: ms.Measure, lam: float) -> tuple[float, float]:
+    """(E_minus, E_plus) for the gamma = 1 deformed law."""
+    _, _, e_m, e_p = _edge_roots(nu, lam)
     return e_m, e_p
 
 
@@ -194,10 +204,8 @@ def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
         raise ValueError("need lo < hi, n >= 2, eta > 0")
     grid = np.linspace(lo, hi, n)
     m, _ = _solve_many(nu, lam, gamma, grid + 1j * eta, tol, max_iter)
-    th_m, th_p, e_m, e_p = _outer_roots(nu, lam)
-    return FreeConvolutionSolution(
-        nu=nu, lam=lam, gamma=gamma, grid=grid, m=m, eta=eta,
-        support=(gamma * e_m, gamma * e_p), density=m.imag / np.pi)
+    return FreeConvolutionSolution(nu=nu, lam=lam, gamma=gamma, grid=grid,
+                                   m=m, eta=eta, density=m.imag / np.pi)
 
 
 def density_at(nu: ms.Measure, lam: float, gamma: float, E: float,
@@ -264,7 +272,6 @@ def solution_from_json(obj: dict) -> FreeConvolutionSolution:
         grid=np.asarray(obj["grid"], dtype=float),
         m=np.asarray(obj["m_re"], dtype=float) + 1j * np.asarray(obj["m_im"], dtype=float),
         eta=float(obj["eta"]),
-        support=(float(obj["support"][0]), float(obj["support"][1])),
         density=np.asarray(obj["density"], dtype=float))
 
 

@@ -264,10 +264,8 @@ def empirical_from_values(values) -> Atomic:
     # group values closer than 1e-12 into one atom with summed weight
     brk = np.flatnonzero(np.diff(vals) > 1e-12)
     starts = np.concatenate(([0], brk + 1))
-    ends = np.concatenate((brk + 1, [vals.size]))
-    locs = np.array([vals[s:e].mean() for s, e in zip(starts, ends)])
-    w = (ends - starts) / vals.size
-    return Atomic(locs, w)
+    counts = np.diff(np.append(starts, vals.size))
+    return Atomic(np.add.reduceat(vals, starts) / counts, counts / vals.size)
 
 
 def sample(m: Measure, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -251,9 +251,8 @@ _RIG_POINTS = 2001
 def _scaling_and_locations(nu_hat: ms.Measure, lam0: float, n: int,
                            k_max: int) -> tuple[es.EdgeScaling, np.ndarray]:
     sc = es.build(nu_hat, lam0)
-    e_m, e_p = fc.support_endpoints(nu_hat, lam0)
     sol = fc.solve_grid(nu_hat, lam0, sc.gamma,
-                        sc.gamma * e_m - _RIG_PAD, sc.gamma * e_p + _RIG_PAD,
+                        sc.gamma * sc.e_minus - _RIG_PAD, sc.l_plus + _RIG_PAD,
                         _RIG_POINTS, _RIG_ETA)
     gam = classical_locations(sol, n, list(range(1, k_max + 1)))
     return sc, np.asarray(gam)
@@ -288,7 +287,7 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
             cached = _scaling_and_locations(
                 ms.empirical_from_values(v), spec.lam0, n, k_max)
         sc, gam = cached
-        mu = sc.gamma * ens.eigenvalues(h, spec, j).eigenvalues[:k_max]
+        mu = sc.gamma * ens.eigenvalues(h).eigenvalues[:k_max]
         stats[j] = pref * np.abs(mu - gam)
     med = np.median(stats, axis=0)
     p95 = np.quantile(stats, 0.95, axis=0)
@@ -354,7 +353,7 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
         sc = fixed_sc
         if sc is None:
             sc = es.build(ms.empirical_from_values(v), spec.lam0)
-        mu = ens.eigenvalues(h, spec, j).eigenvalues[:top_k]
+        mu = ens.eigenvalues(h).eigenvalues[:top_k]
         return sc.e_plus, sc.gamma, sc.gamma * n23 * (mu - sc.e_plus)
 
     if parallel == 1:
@@ -413,13 +412,14 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
         n = int(n)
         lam0 = sigma0 * n ** (-delta)
         case = _regime_case(delta)
-        e_plus = fc.support_endpoints(nu, lam0)[1]
+        sc = es.build(nu, lam0)
+        e_plus = sc.e_plus
         stats = np.empty(n_samples)
         if case == "iii":
             if lam0 <= 0.0:
                 raise ValueError("case iii needs sigma0 > 0")
             # exact at the edge root zeta: m_fc(E_plus) = zeta - E_plus
-            m_edge = es.build(nu, lam0).zeta - e_plus
+            m_edge = sc.zeta - e_plus
             sigma2 = (1.0 - m_edge ** 2) / lam0 ** 2
             law = LimitLaw(GAUSS, sigma2)
             pref = math.sqrt(n) / lam0
@@ -442,7 +442,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             for j in range(n_samples):
                 rng = rngstream.stream(seed, f"regime{n}", j)
                 h, _ = ens.sample_deformed(spec, rng)
-                mu1 = ens.eigenvalues(h, spec, j).eigenvalues[0]
+                mu1 = ens.eigenvalues(h).eigenvalues[0]
                 stats[j] = pref * (mu1 - e_plus)
         out.append({
             "N": n, "lam0": lam0, "case": case, "law": law,

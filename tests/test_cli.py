@@ -13,6 +13,8 @@ import pytest
 
 from dwedge import cli
 from dwedge import ensemble as ens
+from dwedge import freeconv as fc
+from dwedge import measure as ms
 from dwedge import twstats as tw
 
 TWO_ATOM = '{"type":"atomic","atoms":[[-1.0,0.5],[1.0,0.5]]}'
@@ -57,6 +59,25 @@ def test_fc_solve_two_interval_density(tmp_path):
     mid = np.abs(grid) < 0.2
     assert dens[mid].max() < 1e-3
     assert dens[(grid > 0.5) & (grid < 2.0)].max() > 0.1
+
+
+def test_fc_solve_split_support_reports_outer_hull(tmp_path):
+    # lam = 1.5 fails the regularity check but keeps both outer edge roots
+    out = tmp_path / "fc3"
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "1.5",
+               "--points", "201", "--out", str(out)) == 0
+    summary = json.loads(out.with_suffix(".json").read_text())
+    two = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    _, _, e_m, e_p = fc._outer_roots(two, 1.5)
+    assert summary["support"] == [e_m, e_p]
+
+
+def test_fc_solve_without_edge_root_exits_1(tmp_path, capsys):
+    # a soft-tailed law at strong coupling has no outer edge root at all
+    assert run("fc-solve", "--measure", '{"type":"jacobi","a":2,"b":2}',
+               "--lam", "2.5", "--points", "201",
+               "--out", str(tmp_path / "fc4")) == 1
+    assert "no edge root" in capsys.readouterr().err
 
 
 def test_fc_solve_malformed_measure_exits_2(tmp_path, capsys):

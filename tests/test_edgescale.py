@@ -69,6 +69,15 @@ def test_empirical_matches_population_edge():
     assert abs(s.e_plus - ep) < 0.05
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9])
+def test_build_keeps_both_edges_of_the_root_solve(lam):
+    s = es.build(TWO, lam)
+    assert (s.e_minus, s.e_plus) == fc.support_endpoints(TWO, lam)
+    vh = empirical_two_atom(n=300)
+    s = es.build(vh, lam)
+    assert (s.e_minus, s.e_plus) == fc.support_endpoints(vh, lam)
+
+
 def test_a1_is_boundary_value_of_m():
     s = es.build(TWO, 0.5)
     m1 = fc.solve_point(TWO, 0.5, s.gamma, complex(s.l_plus, 1e-7))

@@ -105,6 +105,20 @@ def test_eigenvalues_trivial_cases():
         en.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_symmetry_check_is_relative_to_entry_scale():
+    # Q diag(d) Q^T with |H| ~ 3e5 is symmetric only up to rounding, which
+    # is far above an absolute 1e-12 but about 1e-16 of the entries
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+    d = np.linspace(-1.0, 1.0, 50) * 1e6
+    h = q @ np.diag(d) @ q.T
+    assert np.max(np.abs(h - h.T)) > 1e-12
+    ev = en.eigenvalues(h).eigenvalues
+    np.testing.assert_allclose(ev, d[::-1], rtol=0, atol=1e-9 * 1e6)
+    with pytest.raises(ValueError, match="not symmetric"):
+        en.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_eigenvalues_match_high_precision_oracle():
     oracle = json.loads((DATA / "eig50.json").read_text())
     w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
@@ -150,7 +164,7 @@ def test_spec_json_round_trip():
     assert back.N == spec.N and back.lam0 == spec.lam0 and back.law == spec.law
     assert back.zero_diagonal == spec.zero_diagonal and back.seed == spec.seed
     assert isinstance(back.potential, en.IIDFrom)
-    assert en.spec_hash(back) == en.spec_hash(spec)
+    assert en.spec_to_json(back) == en.spec_to_json(spec)
     fx = en.EnsembleSpec(N=3, lam0=0.1, potential=en.Fixed([1.0, 2.0, 3.0]))
     back2 = en.spec_from_json(en.spec_to_json(fx))
     np.testing.assert_array_equal(back2.potential.values, [1.0, 2.0, 3.0])

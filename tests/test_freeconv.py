@@ -78,6 +78,19 @@ def test_solve_grid_semicircle_density():
     assert np.all(sol.m.imag >= 0)
 
 
+def test_solve_grid_solves_no_edge_root(monkeypatch):
+    e_m, e_p = fc.support_endpoints(TWO, 0.5)
+    calls = []
+    real = fc._outer_roots
+    monkeypatch.setattr(fc, "_outer_roots",
+                        lambda *a: calls.append(a) or real(*a))
+    sol = fc.solve_grid(TWO, 0.5, 0.8, -2.5, 2.5, 101, 1e-4)
+    assert calls == []
+    # the support is solved when it is read, from the solution's own law
+    assert sol.support == (0.8 * e_m, 0.8 * e_p)
+    assert len(calls) == 1
+
+
 def test_solve_grid_two_atom_strong_coupling_gap():
     # lam = 1.5 splits the law into two intervals around a gap at zero
     sol = fc.solve_grid(TWO, 1.5, 1.0, -3.5, 3.5, 1401, 1e-6)

@@ -239,8 +239,7 @@ def test_classical_locations_rejects_multicut():
     dens /= np.trapezoid(dens, grid)
     sol = fc.FreeConvolutionSolution(
         nu=TWO, lam=2.0, gamma=1.0, grid=grid,
-        m=np.full(grid.size, 1j), eta=1e-7,
-        support=(-3.0, 3.0), density=dens)
+        m=np.full(grid.size, 1j), eta=1e-7, density=dens)
     with pytest.raises(ValueError, match="multi-cut"):
         tw.classical_locations(sol, 100, [1])
 
@@ -280,6 +279,28 @@ def test_rigidity_iid_potential_resolves_per_sample():
     rep = tw.rigidity_report(spec, 25, 8)
     assert np.all(rep["median"] < 4.0)
     assert rep["threshold"] == pytest.approx(150 ** 0.2)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_rigidity_solves_each_sample_edge_once(monkeypatch):
+    # one regularity check and one edge-root solve per potential draw
+    margins = _count_calls(monkeypatch, fc, "assumption_margin")
+    roots = _count_calls(monkeypatch, fc, "_outer_roots")
+    spec = ens.EnsembleSpec(N=60, lam0=0.5, potential=ens.IIDFrom(TWO), seed=3)
+    tw.rigidity_report(spec, 3, 5)
+    assert len(margins) == 3
+    assert len(roots) == 3
 
 
 def test_rigidity_validates_k_max():
@@ -399,6 +420,17 @@ def test_regime_subcritical_matches_gaussian():
     want = (1 - u / (u - lam**2) ** 2) / lam**2
     assert out["law"].sigma2 == pytest.approx(want, abs=1e-12)
     assert out["ks"] < 0.09
+
+
+@pytest.mark.parametrize("delta", [1.0 / 3.0, 0.0])
+def test_regime_builds_population_edge_once_per_size(monkeypatch, delta):
+    builds = _count_calls(monkeypatch, es, "build")
+    sizes = [60, 80]
+    tw.regime_test(TWO, 0.5, delta, sizes, 4, seed=2)
+    # case iii adds one build per sample, on the realized potential
+    population = [a for a in builds if a[0] is TWO]
+    assert len(population) == len(sizes)
+    assert len(builds) == len(sizes) * (1 if delta > 0 else 1 + 4)
 
 
 def test_regime_is_deterministic():
