@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -75,26 +76,31 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _measure_arg(raw) -> ms.Measure:
-    """A measure given inline as JSON text, as a file path, or as a dict."""
+def _json_arg(raw):
+    """JSON given inline as text, as a file path, or already parsed."""
     if isinstance(raw, dict):
-        return ms.from_json(raw)
+        return raw
     if isinstance(raw, str) and os.path.exists(raw):
-        return ms.from_json(_load_json(raw))
+        return _load_json(raw)
     try:
-        obj = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as e:
         raise ms.MeasureFormatError(
             f"measure: not a file and not valid JSON ({e.msg})") from e
-    return ms.from_json(obj)
+
+
+def _measure_arg(raw) -> ms.Measure:
+    return ms.from_json(_json_arg(raw))
 
 
 def _potential_arg(raw, n: int) -> ens.IIDFrom | ens.Fixed:
+    """'zeros', a potential as a summary records it, or a measure for iid V."""
     if raw == "zeros":
         return ens.Fixed(np.zeros(n))
-    if isinstance(raw, dict) and raw.get("kind") == "fixed":
-        return ens.Fixed(np.asarray(raw["values"], dtype=float))
-    return ens.IIDFrom(_measure_arg(raw))
+    obj = _json_arg(raw)
+    if isinstance(obj, dict) and "kind" in obj:
+        return ens.potential_from_json(obj)
+    return ens.IIDFrom(ms.from_json(obj))
 
 
 def _summary(command: str, cfg: dict, **extra) -> dict:
@@ -172,13 +178,8 @@ def cmd_fc_solve(cfg: dict) -> int:
     # with no edge root fails here, before the extrapolation solve
     support = list(sol.support)
     if cfg["extrapolate"]:
-        # Im m(E+i eta) carries an O(eta) bias; the two-eta combination
-        # cancels it inside and outside the support alike.
-        half = fc.solve_grid(nu, lam, gamma, lo, hi, int(cfg["points"]), eta / 2.0)
-        density = (2.0 * half.m.imag - sol.m.imag) / np.pi
-        sol = fc.FreeConvolutionSolution(
-            nu=nu, lam=lam, gamma=gamma, grid=sol.grid, m=sol.m, eta=eta,
-            density=density)
+        sol = dataclasses.replace(
+            sol, density=fc.density_at(nu, lam, gamma, sol.grid, eta))
     cfg = dict(cfg, lo=lo, hi=hi, measure=ms.to_json(nu))
     summary = _summary("fc-solve", cfg, support=support,
                        mass=float(np.trapezoid(sol.density, sol.grid)),
@@ -245,7 +246,7 @@ def cmd_mc_edge(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
     result = tw.mc_edge(spec, int(cfg["n"]), top_k=int(cfg["top_k"]),
                         parallel=int(cfg["workers"]))
-    cfg = dict(cfg, c2=spec.c2, potential=ens.spec_to_json(spec)["potential"])
+    cfg = dict(cfg, c2=spec.c2, potential=ens.potential_to_json(spec.potential))
     lines = ["sample," + ",".join(f"s{j + 1}" for j in range(int(cfg["top_k"])))]
     samples = np.atleast_2d(result.samples.T).T
     for idx, row in enumerate(samples):
@@ -315,7 +316,7 @@ def cmd_dbm(cfg: dict) -> int:
             raise ConfigError(f"dbm.observable: unknown observable "
                               f"{cfg['observable']!r}")
     cfg = dict(cfg, times=times, c2=spec.c2,
-               potential=ens.spec_to_json(spec)["potential"])
+               potential=ens.potential_to_json(spec.potential))
     per_time = {str(t): {"mean": float(np.mean(v)), "sd": float(np.std(v))}
                 for t, v in values.items()}
     extra = {"per_time": per_time}
@@ -471,7 +472,8 @@ _FLAGS = {
                     "help": "two-eta Richardson extrapolation of the density"},
     "N": {"type": int},
     "lam0": {"type": float},
-    "potential": {"help": "'zeros' or measure JSON for iid V"},
+    "potential": {"help": "'zeros', measure JSON for iid V, or the potential "
+                          "JSON of a summary"},
     "law": {"choices": [ens.GAUSSIAN, ens.RADEMACHER]},
     "c2": {"type": _c2_arg,
            "help": "diagonal weight, or 'matched' for the edge-matched value "

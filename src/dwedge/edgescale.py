@@ -89,18 +89,6 @@ def _flow_derivatives(nu: ms.Measure, lam0: float, t: float, h: float):
     return mid, gdot, lgdot, zdot
 
 
-def dot_z(nu: ms.Measure, lam0: float, t: float, h: float = 1e-5) -> tuple[float, float]:
-    """Edge velocity d L+(t)/dt two ways: the moment formula
-
-        dz = -2 gamma' gamma A1 + d(lam gamma)/dt gamma^2 A'2
-
-    with finite-difference gamma', d(lam gamma)/dt, and the direct finite
-    difference of L+(t).  Returns (formula, finite_difference)."""
-    mid, gdot, lgdot, fd = _flow_derivatives(nu, lam0, t, h)
-    formula = -2.0 * gdot * mid.gamma * mid.A[1] + lgdot * mid.gamma**2 * mid.Ap[2]
-    return formula, fd
-
-
 def coefficients(nu: ms.Measure, lam0: float, t: float,
                  h: float = 1e-5) -> tuple[float, float, float, float]:
     """(C2, C3, C0, C0') of the flow expansion at time t.

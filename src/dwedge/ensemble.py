@@ -161,29 +161,20 @@ def eigenvalues(h: np.ndarray, sample_index: int = 0) -> Spectrum:
     return Spectrum(eigenvalues=ev, sample_index=sample_index)
 
 
-def spec_to_json(spec: EnsembleSpec) -> dict:
-    if isinstance(spec.potential, Fixed):
-        pot = {"kind": "fixed", "values": spec.potential.values.tolist()}
-    else:
-        pot = {"kind": "iid", "measure": ms.to_json(spec.potential.measure)}
-    return {"N": spec.N, "lam0": spec.lam0, "potential": pot, "law": spec.law,
-            "c2": spec.c2, "zero_diagonal": spec.zero_diagonal, "seed": spec.seed}
+def potential_to_json(potential: IIDFrom | Fixed) -> dict:
+    if isinstance(potential, Fixed):
+        return {"kind": "fixed", "values": potential.values.tolist()}
+    return {"kind": "iid", "measure": ms.to_json(potential.measure)}
 
 
-def spec_from_json(obj: dict) -> EnsembleSpec:
-    pot = obj.get("potential")
-    if not isinstance(pot, dict) or "kind" not in pot:
+def potential_from_json(obj) -> IIDFrom | Fixed:
+    if not isinstance(obj, dict) or "kind" not in obj:
         raise ms.MeasureFormatError("potential: expected an object with a 'kind'")
-    if pot["kind"] == "fixed":
-        potential = Fixed(np.asarray(pot["values"], dtype=float))
-    elif pot["kind"] == "iid":
-        potential = IIDFrom(ms.from_json(pot.get("measure")))
-    else:
-        raise ms.MeasureFormatError(f"potential.kind: unknown variant {pot['kind']!r}")
-    return EnsembleSpec(N=int(obj["N"]), lam0=float(obj["lam0"]), potential=potential,
-                        law=str(obj.get("law", GAUSSIAN)), c2=float(obj.get("c2", 0.0)),
-                        zero_diagonal=bool(obj.get("zero_diagonal", True)),
-                        seed=int(obj.get("seed", 0)))
+    if obj["kind"] == "fixed":
+        return Fixed(np.asarray(obj.get("values"), dtype=float))
+    if obj["kind"] == "iid":
+        return IIDFrom(ms.from_json(obj.get("measure")))
+    raise ms.MeasureFormatError(f"potential.kind: unknown variant {obj['kind']!r}")
 
 
 # spectra files: CSV rows (sample_index, k, mu_k), or a compact binary

@@ -14,7 +14,9 @@ endpoints from the defining equation of the rightmost edge:
 
 and its mirror image on the left.  _edge_roots is the one place that edge
 data is computed: it checks the regularity assumption once and solves both
-roots, and support_endpoints and edgescale.build both read it.
+roots, and support_endpoints and edgescale.build both read it.  solve_grid
+gives the law on an energy grid at a fixed spectral height (solution_to_csv
+writes it), and density_at its density extrapolated to the real axis.
 
 Iteration scheme: Newton on G(m) = m - F(m) from m = i, which is Newton in
 the subordination variable omega = z + gamma^2 m (affine in m), where the
@@ -28,7 +30,6 @@ and the halving ends.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,16 +209,17 @@ def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
                                    m=m, eta=eta, density=m.imag / np.pi)
 
 
-def density_at(nu: ms.Measure, lam: float, gamma: float, E: float,
-               tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Density by Richardson extrapolation of Im m over eta in {1e-5, 5e-6}.
+def density_at(nu: ms.Measure, lam: float, gamma: float, E, eta: float) -> np.ndarray:
+    """Density at the energies E by Richardson extrapolation of Im m over
+    spectral heights eta and eta/2.
 
     Im m(E + i eta) = pi rho(E) + O(eta^2) inside the support and O(eta)
     outside; the two-point combination cancels the leading error both ways.
     """
-    m1 = solve_point(nu, lam, gamma, complex(E, 1e-5), tol, max_iter)
-    m2 = solve_point(nu, lam, gamma, complex(E, 5e-6), tol, max_iter)
-    return (2.0 * m2.imag - m1.imag) / np.pi
+    E = np.asarray(E, dtype=float)
+    m1, _ = _solve_many(nu, lam, gamma, E + 1j * eta, 1e-12, 10_000)
+    m2, _ = _solve_many(nu, lam, gamma, E + 1j * (eta / 2.0), 1e-12, 10_000)
+    return ((2.0 * m2.imag - m1.imag) / np.pi).reshape(E.shape)
 
 
 def asymptotic_eplus(nu: ms.Measure, lam0: float) -> float:
@@ -251,41 +253,8 @@ def edge_exponent_fit(sol: FreeConvolutionSolution,
     return float(np.exp(intercept)), float(slope)
 
 
-def solution_to_json(sol: FreeConvolutionSolution) -> dict:
-    return {
-        "measure": ms.to_json(sol.nu),
-        "lam": sol.lam,
-        "gamma": sol.gamma,
-        "eta": sol.eta,
-        "support": [sol.support[0], sol.support[1]],
-        "grid": sol.grid.tolist(),
-        "m_re": sol.m.real.tolist(),
-        "m_im": sol.m.imag.tolist(),
-        "density": sol.density.tolist(),
-    }
-
-
-def solution_from_json(obj: dict) -> FreeConvolutionSolution:
-    return FreeConvolutionSolution(
-        nu=ms.from_json(obj["measure"]), lam=float(obj["lam"]),
-        gamma=float(obj["gamma"]),
-        grid=np.asarray(obj["grid"], dtype=float),
-        m=np.asarray(obj["m_re"], dtype=float) + 1j * np.asarray(obj["m_im"], dtype=float),
-        eta=float(obj["eta"]),
-        density=np.asarray(obj["density"], dtype=float))
-
-
 def solution_to_csv(sol: FreeConvolutionSolution) -> str:
     lines = ["E,re_m,im_m,density"]
     for e, mv, d in zip(sol.grid, sol.m, sol.density):
         lines.append(f"{float(e)!r},{float(mv.real)!r},{float(mv.imag)!r},{float(d)!r}")
     return "\n".join(lines) + "\n"
-
-
-def dump_solution(sol: FreeConvolutionSolution, path: str) -> None:
-    if path.endswith(".csv"):
-        with open(path, "w") as fh:
-            fh.write(solution_to_csv(sol))
-    else:
-        with open(path, "w") as fh:
-            json.dump(solution_to_json(sol), fh)

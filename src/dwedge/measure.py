@@ -12,7 +12,10 @@ Three measure variants cover every experiment in the package:
   singularities exactly.
 
 The Stieltjes transform convention is m(z) = integral of 1/(v - z) dnu(v)
-for Im z > 0, so Im m >= 0.
+for Im z > 0, so Im m >= 0.  stieltjes evaluates it at one point;
+stieltjes_power_array gives the vectorized integral dnu(v) / (v - p)^n at
+complex p that the fixed-point solver needs, and deformed_power the real-pole
+integrals behind the edge equations.
 """
 
 from __future__ import annotations
@@ -28,21 +31,8 @@ class MeasureFormatError(ValueError):
     """Raised when a serialized measure is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point z = re + i*im in the open upper half plane."""
-
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def as_upper_half(z) -> complex:
     """Coerce to complex and demand Im z > 0."""
-    if isinstance(z, SpectralPoint):
-        z = z.as_complex()
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"spectral point needs Im z > 0, got Im z = {z.imag}")
@@ -163,12 +153,7 @@ def support_interval(m: Measure) -> tuple[float, float]:
 
 def stieltjes(m: Measure, z) -> complex:
     """m_nu(z) = integral dnu(v) / (v - z), Im z > 0."""
-    return complex(stieltjes_array(m, np.asarray(as_upper_half(z))))
-
-
-def stieltjes_array(m: Measure, z: np.ndarray) -> np.ndarray:
-    """Vectorized Stieltjes transform; callers guarantee Im z > 0."""
-    return stieltjes_power_array(m, z, 1)
+    return complex(stieltjes_power_array(m, np.asarray(as_upper_half(z)), 1))
 
 
 def stieltjes_power_array(m: Measure, p: np.ndarray, n: int) -> np.ndarray:
@@ -202,17 +187,6 @@ def _grid_pole_integral(m: GridDensity, p: np.ndarray, n: int) -> np.ndarray:
         k = 1 - n
         cell = c * (u2**k - u1**k) / k + beta * (u2 ** (k + 1) - u1 ** (k + 1)) / (k + 1)
     return np.sum(cell, axis=-1)
-
-
-def stieltjes_power(m: Measure, p, n: int) -> complex:
-    """integral dnu(v) / (v - p)^n; p complex with Im p > 0, or real
-    strictly outside the support interval."""
-    p = complex(p)
-    if p.imag == 0.0:
-        lo, hi = support_interval(m)
-        if lo <= p.real <= hi:
-            raise ValueError("real pole inside the support interval")
-    return complex(stieltjes_power_array(m, np.asarray(p), n))
 
 
 def deformed_power(m: Measure, scale: float, pole: float, n: int,

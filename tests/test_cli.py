@@ -187,6 +187,21 @@ def test_mc_edge_rerun_is_byte_identical(tmp_path):
     assert summary["config"]["c2"] == 1.0  # matched diagonal resolved
 
 
+def test_mc_edge_replays_its_own_summary_with_iid_potential(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("mc-edge", "--n", "5", "--N", "40", "--lam0", "0.5",
+               "--potential", TWO_ATOM, "--out", str(a)) == 0
+    recorded = json.loads(a.with_suffix(".json").read_text())["config"]
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(recorded))
+    assert run("mc-edge", "--config", str(cfg), "--out", str(b)) == 0
+    assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+    # the recorded potential also works as the flag value
+    assert run("mc-edge", "--n", "5", "--N", "40", "--lam0", "0.5", "--potential",
+               json.dumps(recorded["potential"]), "--out", str(b)) == 0
+    assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+
+
 def test_mc_edge_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 50, "n": 10, "seed": 1}))

@@ -158,16 +158,16 @@ def test_interpolation_long_time_is_goe():
     assert np.max(np.abs(np.diag(h))) < 1e-9  # both components have zero diagonal
 
 
-def test_spec_json_round_trip():
-    spec = two_atom_spec()
-    back = en.spec_from_json(en.spec_to_json(spec))
-    assert back.N == spec.N and back.lam0 == spec.lam0 and back.law == spec.law
-    assert back.zero_diagonal == spec.zero_diagonal and back.seed == spec.seed
-    assert isinstance(back.potential, en.IIDFrom)
-    assert en.spec_to_json(back) == en.spec_to_json(spec)
-    fx = en.EnsembleSpec(N=3, lam0=0.1, potential=en.Fixed([1.0, 2.0, 3.0]))
-    back2 = en.spec_from_json(en.spec_to_json(fx))
-    np.testing.assert_array_equal(back2.potential.values, [1.0, 2.0, 3.0])
+def test_potential_json_round_trip():
+    iid = two_atom_spec().potential
+    back = en.potential_from_json(en.potential_to_json(iid))
+    assert isinstance(back, en.IIDFrom)
+    assert en.potential_to_json(back) == en.potential_to_json(iid)
+    back2 = en.potential_from_json(en.potential_to_json(en.Fixed([1.0, 2.0, 3.0])))
+    np.testing.assert_array_equal(back2.values, [1.0, 2.0, 3.0])
+    for bad in ({"kind": "shuffled"}, {"values": [1.0]}, [1.0]):
+        with pytest.raises(ms.MeasureFormatError):
+            en.potential_from_json(bad)
 
 
 def test_spec_validation():
