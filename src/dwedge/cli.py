@@ -183,7 +183,8 @@ def cmd_fc_solve(cfg: dict) -> int:
     cfg = dict(cfg, lo=lo, hi=hi, measure=ms.to_json(nu))
     summary = _summary("fc-solve", cfg, support=support,
                        mass=float(np.trapezoid(sol.density, sol.grid)),
-                       peak=float(sol.density.max()))
+                       peak=float(sol.density.max()),
+                       iterations=sol.iterations)
     _emit(summary, cfg["out"], fc.solution_to_csv(sol))
     return 0
 

@@ -16,7 +16,16 @@ and its mirror image on the left.  _edge_roots is the one place that edge
 data is computed: it checks the regularity assumption once and solves both
 roots, and support_endpoints and edgescale.build both read it.  solve_grid
 gives the law on an energy grid at a fixed spectral height (solution_to_csv
-writes it), and density_at its density extrapolated to the real axis.
+writes it, and the solution records its Newton iteration count), and
+density_at its density extrapolated to the real axis.
+
+Regularity check: assumption_margin is the exact minimum over the support
+hull of integral dnu/(v-x)^2, minus lam^2, for the quadrature-node measure
+of nu.  It is the smaller of the hull-endpoint values and the minima on the
+gaps between nodes, where the integrand sum is convex; a closed-form
+two-node lower bound per gap skips every gap that cannot hold the minimum,
+so a typical empirical measure costs a pass over its N atoms, a sort of
+the N - 1 bounds and one or two short Newton solves.
 
 Iteration scheme: Newton on G(m) = m - F(m) from m = i, which is Newton in
 the subordination variable omega = z + gamma^2 m (affine in m), where the
@@ -65,6 +74,7 @@ class FreeConvolutionSolution:
     m: np.ndarray
     eta: float
     density: np.ndarray
+    iterations: int = 0  # Newton steps until every grid point converged
 
     @property
     def support(self) -> tuple[float, float]:
@@ -166,19 +176,70 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
 
 
 def assumption_margin(nu: ms.Measure, lam: float) -> float:
-    """min over the support hull of integral dnu/(v-x)^2 minus lam^2.
+    """min over the support hull of f(x) = integral dnu/(v-x)^2, minus lam^2.
 
-    Nonnegative margin is the regularity assumption behind a square-root
-    edge; checked on a 10^4-point grid (atoms give +inf at their own
-    locations, which never attains the min)."""
+    A nonnegative margin is the regularity assumption behind a square-root
+    edge.  f is taken over the quadrature nodes (x_i, w_i) of nu with
+    w_i > 0: for a Jacobi or grid density that is a discrete measure whose
+    hull endpoints are not nodes, so Jacobi(2, 2) reads 2.4992 where the
+    continuous integral at -1 is 2.5.  Outside the outermost nodes f is
+    monotone, and between two consecutive nodes it is convex and infinite
+    at both ends, so the minimum is f at a hull endpoint or the minimum on
+    some gap.  Two nodes alone bound f on their gap of width g from below by
+    (w_k^(1/3) + w_(k+1)^(1/3))^3 / g^2; gaps are visited in ascending order
+    of that bound until it reaches the best value found, each by a
+    safeguarded Newton solve of f' = 0 vectorized over a batch of gaps.
+    The bound only prunes: the result is always f at a concrete point."""
     vmin, vmax = ms.support_interval(nu)
     if vmax - vmin < 1e-30:
         return np.inf
-    xs = np.linspace(vmin, vmax, 10_000)
     xq, wq = ms._quad_nodes(nu)
+    pos = wq > 0
+    x, w = xq[pos], wq[pos]
     with np.errstate(divide="ignore"):
-        vals = np.sum(wq / (xq[None, :] - xs[:, None]) ** 2, axis=1)
-    return float(np.min(vals) - lam * lam)
+        # +inf where a node sits on the endpoint
+        best = float(min(np.sum(w / (x - e) ** 2) for e in (vmin, vmax)))
+    c = np.cbrt(w)
+    bound = (c[:-1] + c[1:]) ** 3 / np.diff(x) ** 2
+    order = np.argsort(bound)
+    order = order[bound[order] < best]
+    # batches of 1, 2, 4, ... gaps, at most 64: the first solves usually
+    # prune the rest, and the temporaries stay at 64 x len(x)
+    size = 1
+    while order.size:
+        batch, order = order[:size], order[size:]
+        best = min(best, float(np.min(_gap_minima(x, w, batch, c))))
+        order = order[bound[order] < best]
+        size = min(2 * size, 64)
+    return best - lam * lam
+
+
+def _gap_minima(x, w, gaps, c):
+    """min of f(t) = sum_i w_i/(x_i-t)^2 on each gap (x_k, x_(k+1)), k in gaps.
+
+    Safeguarded Newton on f' from the two-node minimiser: a step that leaves
+    the bracket on which f' changes sign, or is longer than half the
+    previous step, becomes a bisection, so the steps shrink geometrically."""
+    lo, hi = x[gaps], x[gaps + 1]
+    width = hi - lo
+    t = lo + width * (c[gaps] / (c[gaps] + c[gaps + 1]))
+    step_old = width
+    for _ in range(100):
+        inv = 1.0 / (x[None, :] - t[:, None])
+        inv2 = inv * inv
+        f, fp, fpp = inv2 @ w, 2.0 * ((inv2 * inv) @ w), 6.0 * ((inv2 * inv2) @ w)
+        step = fp / fpp
+        done = np.abs(step) <= 1e-10 * width
+        if done.all():
+            return f
+        # f' = 2 sum w/(x_i - t)^3 increases through zero on the gap
+        lo, hi = np.where(fp < 0, t, lo), np.where(fp > 0, t, hi)
+        newton = t - step
+        use = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) <= np.abs(step_old))
+        step_old = np.where(use, step, 0.5 * (hi - lo))
+        t = np.where(done, t, np.where(use, newton, 0.5 * (lo + hi)))
+    raise IterationError("no gap minimum after 100 Newton steps",
+                         residual=float(np.max(np.abs(step))))
 
 
 def _edge_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
@@ -204,9 +265,10 @@ def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
     if not (lo < hi and n >= 2 and eta > 0):
         raise ValueError("need lo < hi, n >= 2, eta > 0")
     grid = np.linspace(lo, hi, n)
-    m, _ = _solve_many(nu, lam, gamma, grid + 1j * eta, tol, max_iter)
+    m, iterations = _solve_many(nu, lam, gamma, grid + 1j * eta, tol, max_iter)
     return FreeConvolutionSolution(nu=nu, lam=lam, gamma=gamma, grid=grid,
-                                   m=m, eta=eta, density=m.imag / np.pi)
+                                   m=m, eta=eta, density=m.imag / np.pi,
+                                   iterations=iterations)
 
 
 def density_at(nu: ms.Measure, lam: float, gamma: float, E, eta: float) -> np.ndarray:

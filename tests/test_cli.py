@@ -80,6 +80,15 @@ def test_fc_solve_without_edge_root_exits_1(tmp_path, capsys):
     assert "no edge root" in capsys.readouterr().err
 
 
+def test_fc_solve_records_newton_iterations(capsys):
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "0.5",
+               "--points", "101") == 0
+    summary = json.loads(capsys.readouterr().out)
+    sol = fc.solve_grid(ms.from_json(json.loads(TWO_ATOM)), 0.5, 1.0,
+                        summary["config"]["lo"], summary["config"]["hi"], 101, 1e-5)
+    assert summary["iterations"] == sol.iterations >= 1
+
+
 def test_fc_solve_malformed_measure_exits_2(tmp_path, capsys):
     assert run("fc-solve", "--measure", '{"type":"grid","lo":0}') == 2
     assert "measure.hi" in capsys.readouterr().err
@@ -105,6 +114,14 @@ def test_edge_scaling_lam_zero_is_semicircle(capsys):
 def test_edge_scaling_assumption_failed(capsys):
     assert run("edge-scaling", "--measure", '{"type":"jacobi","a":1,"b":2}',
                "--lam", "2.0") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "assumption_failed"
+
+
+def test_edge_scaling_zero_weight_atoms_fail_assumption(capsys):
+    # the zero-weight end atoms widen the hull; the gap between the massive
+    # atoms still violates the assumption at lam = 1.2
+    nu = '{"type":"atomic","atoms":[[-1.0001,0],[-1,0.5],[1,0.5],[1.0001,0]]}'
+    assert run("edge-scaling", "--measure", nu, "--lam", "1.2") == 0
     assert json.loads(capsys.readouterr().out)["status"] == "assumption_failed"
 
 

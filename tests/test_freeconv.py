@@ -142,6 +142,65 @@ def test_support_endpoint_requires_edge_root():
         fc.support_endpoints(soft, 2.5)
 
 
+def test_assumption_margin_between_grid_points():
+    # the two-atom minimum 1 sits at x = 0, which a uniform grid over [-1, 1]
+    # with an even point count never samples
+    assert fc.assumption_margin(TWO, 0.0) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(fc.AssumptionViolatedError):
+        fc.support_endpoints(TWO, np.sqrt(1.0 + 1e-8))
+    # a continuous law is checked on its quadrature nodes, whose minimum is
+    # at the hull endpoint -1 (2.5 for the continuous density)
+    assert fc.assumption_margin(ms.Jacobi(2.0, 2.0), 0.0) == pytest.approx(
+        2.4992426250647872, rel=1e-12)
+
+
+def test_assumption_margin_ignores_zero_weight_atoms():
+    # zero-weight atoms widen the hull but carry no mass: the interior gap's
+    # minimum 1 is below lam^2 = 1.44
+    nu = ms.Atomic([-1.0001, -1.0, 1.0, 1.0001], [0.0, 0.5, 0.5, 0.0])
+    assert fc.assumption_margin(nu, 1.2) == pytest.approx(1.0 - 1.44, abs=1e-12)
+    with pytest.raises(fc.AssumptionViolatedError):
+        fc.support_endpoints(nu, 1.2)
+
+
+def _f(x, w, t):
+    return float(np.sum(w / (x - t) ** 2))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_assumption_margin_exact_oracle(seed):
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41))
+    x = np.sort(rng.uniform(-2.0, 2.0, n))
+    w = rng.dirichlet(np.ones(n))
+    if n > 2 and seed % 2:
+        w[0] = 0.0  # a zero-weight end atom leaves a finite endpoint value
+        w /= w.sum()
+    nu = ms.Atomic(x, w)
+    got = fc.assumption_margin(nu, 0.0)
+    if n == 1:
+        assert got == np.inf
+        return
+    pos = w > 0
+    xp, wp = x[pos], w[pos]
+    with np.errstate(divide="ignore"):
+        want = min(_f(xp, wp, x[0]), _f(xp, wp, x[-1]))
+    for lo, hi in zip(xp[:-1], xp[1:]):
+        # minimize over the offset from lo, so the absolute tolerance in the
+        # offset is relative to the gap
+        res = minimize_scalar(lambda s: _f(xp, wp, lo + s), bounds=(0.0, hi - lo),
+                              method="bounded", options={"xatol": 1e-14})
+        want = min(want, res.fun)
+    assert got == pytest.approx(want, rel=1e-10)
+    grid = np.linspace(x[0], x[-1], 10_000)
+    with np.errstate(divide="ignore"):
+        on_grid = np.min(np.sum(wp / (xp[None, :] - grid[:, None]) ** 2, axis=1))
+    # rounding in summing the same terms is the only slack
+    assert got <= on_grid * (1.0 + 1e-14)
+
+
 def test_density_mass_over_support():
     em, ep = fc.support_endpoints(TWO, 0.5)
     sol = fc.solve_grid(TWO, 0.5, 1.0, em, ep, 4001, 1e-6)
