@@ -310,7 +310,7 @@ def cmd_dbm(cfg: dict) -> int:
             for t in times:
                 if t > state.t:
                     state = dbm.evolve(state, t - state.t)
-                mu1 = ens.eigenvalues(state.h).eigenvalues[0]
+                mu1 = ens.eigenvalues(state.h, top=1).eigenvalues[0]
                 lines.append(f"{j},{t},{float(mu1)!r}")
                 values[t].append(mu1)
         else:

@@ -119,6 +119,65 @@ def test_symmetry_check_is_relative_to_entry_scale():
         en.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("top", [None, 1])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_reject_non_finite_entries(bad, pos, top):
+    # a non-finite entry used to pass the symmetry check (nan > tol is
+    # False); a NaN at (0, 0) then came back as the spectrum [3, 0, 0] and
+    # an inf there as all NaN, with no error
+    h = np.diag([1.0, 2.0, 3.0])
+    h[pos] = h[pos[::-1]] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        en.eigenvalues(h, top=top)
+
+
+@pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
+@pytest.mark.parametrize("n", [2, 50, 500])
+def test_top_k_is_the_head_of_the_full_spectrum(n, law):
+    h = en.sample_wigner(n, law, 1.0, stream(12, "topk", n), zero_diagonal=False)
+    full = en.eigenvalues(h).eigenvalues
+    for k in sorted({min(k, n) for k in (1, 20, n)}):
+        top = en.eigenvalues(h, sample_index=3, top=k)
+        assert top.eigenvalues.shape == (k,) and top.sample_index == 3
+        np.testing.assert_allclose(top.eigenvalues, full[:k], rtol=0, atol=1e-12)
+
+
+def test_top_k_keeps_a_repeated_top_eigenvalue():
+    ev = en.eigenvalues(np.diag([3.0, 1.0, 2.0, 3.0]), top=2).eigenvalues
+    assert ev.tolist() == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("top", [0, -1, 5])
+def test_top_outside_one_to_n_is_rejected(top):
+    with pytest.raises(ValueError, match="top"):
+        en.eigenvalues(np.eye(4), top=top)
+
+
+@pytest.mark.parametrize("zero_diagonal", [True, False])
+@pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_row_wise_fill_matches_the_triu_scatter(n, law, zero_diagonal):
+    # the same draws, scattered with np.triu_indices as the sampler once did
+    w = en.sample_wigner(n, law, 1.0, stream(13, "fill", n), zero_diagonal)
+    rng = stream(13, "fill", n)
+    k = n * (n - 1) // 2
+    off_sd = 1.0 / np.sqrt(n)
+    diag_sd = 0.0 if zero_diagonal else np.sqrt(2.0 / n)
+    if law == en.GAUSSIAN:
+        off = rng.standard_normal(k) * off_sd
+        diag = rng.standard_normal(n) * diag_sd
+    else:
+        off = (2.0 * rng.integers(0, 2, size=k) - 1.0) * off_sd
+        diag = (2.0 * rng.integers(0, 2, size=n) - 1.0) * diag_sd
+    ref = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    ref[iu] = off
+    ref.T[iu] = off
+    np.fill_diagonal(ref, diag)
+    assert w.tobytes() == ref.tobytes()
+
+
 def test_eigenvalues_match_high_precision_oracle():
     oracle = json.loads((DATA / "eig50.json").read_text())
     w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
