@@ -68,7 +68,9 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        cfg.update(file_cfg)
+        for key, val in file_cfg.items():
+            keep = val is None and defaults[key] is None
+            cfg[key] = val if keep else _from_file(key, val)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -76,11 +78,32 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _from_file(key: str, val):
+    """A config-file value through the type and choices of its flag."""
+    opts = _FLAGS[key]
+    convert = opts.get("type", lambda x: x)
+    try:
+        if opts.get("nargs") != "+":
+            val = convert(val)
+        elif isinstance(val, list) and val:
+            val = [convert(x) for x in val]
+        else:
+            raise ValueError("expected a nonempty list")
+        if "choices" in opts and val not in opts["choices"]:
+            raise ValueError(f"expected one of {opts['choices']}")
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+        raise ConfigError(f"config.{key}: {e}, got {val!r}") from e
+    return val
+
+
 def _json_arg(raw):
     """JSON given inline as text, as a file path, or already parsed."""
     if isinstance(raw, dict):
         return raw
-    if isinstance(raw, str) and os.path.exists(raw):
+    if not isinstance(raw, str):
+        raise ms.MeasureFormatError(
+            f"measure: expected JSON text or an object, got {raw!r}")
+    if os.path.exists(raw):
         return _load_json(raw)
     try:
         return json.loads(raw)
@@ -130,21 +153,15 @@ def _emit(summary: dict, out: str | None, csv_text: str | None = None) -> None:
 
 
 def _spec_from_cfg(cfg: dict) -> ens.EnsembleSpec:
-    """The ensemble of a config; a value EnsembleSpec rejects is a ConfigError."""
     law = cfg["law"]
     c2 = cfg["c2"]
-    try:
-        if c2 is None or c2 == "matched":
-            c2 = ens.edge_matched_c2(law)
-        return ens.EnsembleSpec(
-            N=int(cfg["N"]), lam0=float(cfg["lam0"]),
-            potential=_potential_arg(cfg["potential"], int(cfg["N"])),
-            law=law, c2=float(c2), zero_diagonal=bool(cfg["zero_diagonal"]),
-            seed=int(cfg["seed"]))
-    except ms.MeasureFormatError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"ensemble: {e}") from e
+    if c2 is None or c2 == "matched":
+        c2 = ens.edge_matched_c2(law)
+    return ens.EnsembleSpec(
+        N=int(cfg["N"]), lam0=float(cfg["lam0"]),
+        potential=_potential_arg(cfg["potential"], int(cfg["N"])),
+        law=law, c2=float(c2), zero_diagonal=bool(cfg["zero_diagonal"]),
+        seed=int(cfg["seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +238,11 @@ def cmd_sample(cfg: dict) -> int:
     if cfg["out"] is None:
         raise ConfigError("sample: --out is required")
     writers = {"binary": ens.write_spectra_binary, "csv": ens.write_spectra_csv}
-    if cfg["format"] not in writers:
-        raise ConfigError(f"sample.format: unknown format {cfg['format']!r}")
     spec = _spec_from_cfg(cfg)
-    spectra = []
-    for j in range(int(cfg["n"])):
+    spectra = np.empty((int(cfg["n"]), spec.N))
+    for j in range(spectra.shape[0]):
         rng = rngstream.stream(spec.seed, "sample", j)
-        h, _ = ens.sample_deformed(spec, rng)
-        spectra.append(ens.eigenvalues(h, sample_index=j))
+        spectra[j] = ens.eigenvalues(ens.sample_deformed(spec, rng)[0])
     writers[cfg["format"]](cfg["out"], spectra)
     print(f"wrote {cfg['out']}")
     return 0
@@ -294,7 +308,7 @@ DBM_DEFAULTS = {
 
 
 def cmd_dbm(cfg: dict) -> int:
-    times = [float(t) for t in cfg["times"]]
+    times = dbm.flow_times(cfg["times"])
     spec = _spec_from_cfg(cfg)
     lines = ["trajectory,t,value"]
     values = {t: [] for t in times}
@@ -305,17 +319,14 @@ def cmd_dbm(cfg: dict) -> int:
             for t, mval in dbm.flow_edge_track(spec, times, 0.0, rng):
                 lines.append(f"{j},{t},{float(mval.imag)!r}")
                 values[t].append(mval.imag)
-        elif cfg["observable"] == "edge":
+        else:
             state, _ = dbm.start(spec, rng)
             for t in times:
                 if t > state.t:
                     state = dbm.evolve(state, t - state.t)
-                mu1 = ens.eigenvalues(state.h, top=1).eigenvalues[0]
+                mu1 = ens.eigenvalues(state.h, top=1)[0]
                 lines.append(f"{j},{t},{float(mu1)!r}")
                 values[t].append(mu1)
-        else:
-            raise ConfigError(f"dbm.observable: unknown observable "
-                              f"{cfg['observable']!r}")
     cfg = dict(cfg, times=times, c2=spec.c2,
                potential=ens.potential_to_json(spec.potential))
     per_time = {str(t): {"mean": float(np.mean(v)), "sd": float(np.std(v))}
@@ -415,9 +426,9 @@ def cmd_verify(cfg: dict) -> int:
     suites = {"identities": _verify_identities,
               "local-law": _verify_local_law,
               "optical": _verify_optical}
+    if int(cfg["seeds"]) < 1:
+        raise ConfigError("verify.seeds: need at least one run per suite")
     if cfg["suite"] != "all":
-        if cfg["suite"] not in suites:
-            raise ConfigError(f"verify.suite: unknown suite {cfg['suite']!r}")
         suites = {cfg["suite"]: suites[cfg["suite"]]}
     reports = [fn(int(cfg["seed"]), int(cfg["seeds"]))
                for fn in suites.values()]
@@ -542,13 +553,15 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(defaults, args)
         return fn(cfg)
-    except (ConfigError, ms.MeasureFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (fc.IterationError, fc.InsufficientPointsError,
             fc.AssumptionViolatedError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        # after the numerical clause, whose errors subclass ValueError:
+        # ConfigError, MeasureFormatError and every value a layer rejects
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

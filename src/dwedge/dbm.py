@@ -33,6 +33,7 @@ __all__ = [
     "FlowState",
     "start",
     "evolve",
+    "flow_times",
     "flow_edge_track",
     "goe_invariance_check",
     "ks_two_sample",
@@ -78,6 +79,16 @@ def evolve(state: FlowState, dt: float) -> FlowState:
     return replace(state, t=state.t + dt, h=decay * state.h + fresh * xi)
 
 
+def flow_times(times) -> list[float]:
+    """Observation times as floats: nonempty, nonnegative, strictly increasing."""
+    ts = [float(t) for t in times]
+    if not ts:
+        raise ValueError("need at least one time")
+    if ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"times must be nonnegative and strictly increasing, got {ts}")
+    return ts
+
+
 def flow_edge_track(spec: ens.EnsembleSpec, times, y: float,
                     rng: np.random.Generator) -> list[tuple[float, complex]]:
     """m(t, z(t)) of the rescaled matrix along one trajectory.
@@ -87,11 +98,7 @@ def flow_edge_track(spec: ens.EnsembleSpec, times, y: float,
     rescaling constants follow the decayed coupling lam0 e^{-t/2} against
     the empirical potential measure of the realized draw.
     """
-    ts = [float(t) for t in times]
-    if not ts:
-        raise ValueError("need at least one time")
-    if ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"times must be nonnegative and strictly increasing, got {ts}")
+    ts = flow_times(times)
     ylim = spec.N ** (-2.0 / 3.0 + EDGE_EPS)
     if abs(y) > ylim:
         raise ValueError(f"|y| = {abs(y):.3e} outside the edge window {ylim:.3e}")
@@ -137,11 +144,11 @@ def goe_invariance_check(n: int, t: float, n_samples: int,
     top0, topt = [], []
     for _ in range(n_samples):
         h0 = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
-        top0.append(ens.eigenvalues(h0, top=1).eigenvalues[0])
+        top0.append(ens.eigenvalues(h0, top=1)[0])
         state = FlowState(t=0.0, h=ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng,
                                                      zero_diagonal=True),
                           rng=rng)
         if t > 0.0:
             state = evolve(state, t)
-        topt.append(ens.eigenvalues(state.h, top=1).eigenvalues[0])
+        topt.append(ens.eigenvalues(state.h, top=1)[0])
     return ks_two_sample(top0, topt)

@@ -81,18 +81,6 @@ class EnsembleSpec:
             raise ValueError("fixed potential length must equal N")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    eigenvalues: np.ndarray        # descending
-    sample_index: int = 0
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigenvalues", ev)
-
-
 def _symmetric_noise(n: int, law: str, rng: np.random.Generator,
                      offdiag_sd: float, diag_sd: float) -> np.ndarray:
     w = np.empty((n, n))
@@ -156,8 +144,7 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
     return decay * h + np.sqrt(1.0 - decay * decay) * goe
 
 
-def eigenvalues(h: np.ndarray, sample_index: int = 0,
-                top: int | None = None) -> Spectrum:
+def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
     """Eigenvalues, descending: the full spectrum (LAPACK dsyevd through
     numpy.linalg.eigvalsh), or with top=k only the k largest (dsyevr through
     scipy.linalg.eigh with subset_by_index, which skips the rest of the
@@ -180,7 +167,7 @@ def eigenvalues(h: np.ndarray, sample_index: int = 0,
         ev = scipy.linalg.eigh(h, eigvals_only=True, check_finite=False,
                                subset_by_index=[n - top, n - 1],
                                driver="evr")[::-1]
-    return Spectrum(eigenvalues=ev, sample_index=sample_index)
+    return ev
 
 
 def potential_to_json(potential: IIDFrom | Fixed) -> dict:
@@ -199,28 +186,27 @@ def potential_from_json(obj) -> IIDFrom | Fixed:
     raise ms.MeasureFormatError(f"potential.kind: unknown variant {obj['kind']!r}")
 
 
-# spectra files: CSV rows (sample_index, k, mu_k), or a compact binary
-# column format "DWSP" | uint32 N | uint64 count | count*N little-endian f64
+# spectra files from a (count, N) array, one descending spectrum per row:
+# CSV rows (sample_index = row, k, mu_k), or a compact binary column format
+# "DWSP" | uint32 N | uint64 count | count*N little-endian f64
 
-def write_spectra_csv(path: str, spectra: list[Spectrum]) -> None:
+def write_spectra_csv(path: str, spectra: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("sample_index,k,mu_k\n")
-        for s in spectra:
-            for k, mu in enumerate(s.eigenvalues, start=1):
-                fh.write(f"{s.sample_index},{k},{float(mu)!r}\n")
+        for j, ev in enumerate(spectra):
+            for k, mu in enumerate(ev, start=1):
+                fh.write(f"{j},{k},{float(mu)!r}\n")
 
 
-def write_spectra_binary(path: str, spectra: list[Spectrum]) -> None:
-    if not spectra:
-        raise ValueError("no spectra to write")
-    n = spectra[0].eigenvalues.size
-    if any(s.eigenvalues.size != n for s in spectra):
-        raise ValueError("all spectra must share one N")
+def write_spectra_binary(path: str, spectra: np.ndarray) -> None:
+    spectra = np.asarray(spectra, dtype="<f8")
+    if spectra.ndim != 2 or spectra.shape[0] == 0:
+        raise ValueError("need a nonempty (count, N) array of spectra")
+    count, n = spectra.shape
     with open(path, "wb") as fh:
         fh.write(b"DWSP")
-        fh.write(struct.pack("<IQ", n, len(spectra)))
-        for s in spectra:
-            fh.write(s.eigenvalues.astype("<f8").tobytes())
+        fh.write(struct.pack("<IQ", n, count))
+        fh.write(spectra.tobytes())
 
 
 def read_spectra_binary(path: str) -> np.ndarray:

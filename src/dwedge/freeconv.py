@@ -12,12 +12,16 @@ endpoints from the defining equation of the rightmost edge:
     integral dnu(v) / (lam v - theta)^2 = 1,   theta > lam v_max,
     E_plus = theta - integral dnu(v) / (lam v - theta),
 
-and its mirror image on the left.  _edge_roots is the one place that edge
-data is computed: it checks the regularity assumption once and solves both
-roots, and support_endpoints and edgescale.build both read it.  solve_grid
-gives the law on an energy grid at a fixed spectral height (solution_to_csv
-writes it, and the solution records its Newton iteration count), and
-density_at its density extrapolated to the real axis.
+and its mirror image on the left.  Both are the one integral against nu,
+measure.deformed_power(nu, s, p, n) = integral dnu(v) / (s v - p)^n: the
+fixed point at the complex pole p = z + gamma^2 m with s = lam gamma (n = 1
+for the map, n = 2 for its derivative), the edge at the real pole p = theta
+with s = lam.  _edge_roots is the one place that edge data is computed: it
+checks the regularity assumption once and solves both roots, and
+support_endpoints and edgescale.build both read it.  solve_grid gives the
+law on an energy grid at a fixed spectral height (solution_to_csv writes
+it, and the solution records its Newton iteration count), and density_at
+its density extrapolated to the real axis.
 
 Regularity check: assumption_margin is the exact minimum over the support
 hull of integral dnu/(v-x)^2, minus lam^2, for the quadrature-node measure
@@ -85,20 +89,11 @@ class FreeConvolutionSolution:
 
 
 def _maps(nu, lam, gamma, z, m):
-    """F(m) and F'(m) for the fixed-point map."""
-    g2 = gamma * gamma
+    """F(m) = g(omega) and F'(m) = gamma^2 g'(omega) at omega = z + gamma^2 m."""
+    omega = z + gamma * gamma * m
     s = lam * gamma
-    if s < 1e-50:
-        # coupling this small is indistinguishable from zero at tolerance
-        d = -(z + g2 * m)
-        return 1.0 / d, g2 / (d * d)
-    # multiply by 1/s one factor at a time: s^2 can underflow even when the
-    # mathematical results are well scaled
-    inv = 1.0 / s
-    w = (z + g2 * m) * inv
-    f = ms.stieltjes_power_array(nu, w, 1) * inv
-    fp = g2 * (ms.stieltjes_power_array(nu, w, 2) * inv) * inv
-    return f, fp
+    return (ms.deformed_power(nu, s, omega, 1),
+            gamma * gamma * ms.deformed_power(nu, s, omega, 2))
 
 
 def _solve_many(nu, lam, gamma, z, tol, max_iter):

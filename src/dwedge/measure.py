@@ -11,11 +11,11 @@ Three measure variants cover every experiment in the package:
   a, b > -1, integrated by Gauss-Jacobi rules that absorb the endpoint
   singularities exactly.
 
-The Stieltjes transform convention is m(z) = integral of 1/(v - z) dnu(v)
-for Im z > 0, so Im m >= 0.  stieltjes evaluates it at one point;
-stieltjes_power_array gives the vectorized integral dnu(v) / (v - p)^n at
-complex p that the fixed-point solver needs, and deformed_power the real-pole
-integrals behind the edge equations.
+Every pole integral against a measure is one function, deformed_power:
+integral v^w dnu(v) / (s v - p)^n, at the complex pole p = z + gamma^2 m
+of freeconv's self-consistent equation and at the real poles of the edge
+equations in freeconv and edgescale.  Its s = 1, n = 1 case is the
+Stieltjes transform m(z) = integral dnu(v) / (v - z), Im z > 0.
 """
 
 from __future__ import annotations
@@ -153,16 +153,36 @@ def support_interval(m: Measure) -> tuple[float, float]:
 
 def stieltjes(m: Measure, z) -> complex:
     """m_nu(z) = integral dnu(v) / (v - z), Im z > 0."""
-    return complex(stieltjes_power_array(m, np.asarray(as_upper_half(z)), 1))
+    return complex(deformed_power(m, 1.0, as_upper_half(z), 1))
 
 
-def stieltjes_power_array(m: Measure, p: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized integral dnu(v) / (v - p)^n; callers keep p off the support."""
-    p = np.asarray(p, dtype=complex)
-    if isinstance(m, (Atomic, Jacobi)):
+def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
+    """integral v^weight dnu(v) / (scale*v - pole)^n, weight 0 or 1,
+    elementwise over a real or complex pole array kept off scale*support;
+    a real pole gives a real value.  Atoms and Jacobi nodes are summed as
+    written, so any scale >= 0 is stable; only the exact cell integral of a
+    grid density divides by the scale."""
+    p = np.asarray(pole)
+    if not isinstance(m, GridDensity):
         x, w = _quad_nodes(m)
-        return np.sum(w / (x - p[..., None]) ** n, axis=-1)
-    return _grid_pole_integral(m, p, n)
+        if weight:
+            w = w * x
+        val = np.sum(w / (scale * x - p[..., None]) ** n, axis=-1)
+    elif scale < 1e-50:
+        # a scale this small is indistinguishable from zero at double precision
+        val = (-p) ** float(-n) * (mean(m) if weight else 1.0)
+    else:
+        # (scale*v - p)^n = scale^n (v - q)^n with q = p/scale, and
+        # v/(v - q)^n = 1/(v - q)^(n-1) + q/(v - q)^n; the 1/scale factors
+        # are applied one at a time to dodge under/overflow
+        inv = 1.0 / scale
+        q = p * inv
+        val = _grid_pole_integral(m, q, n)
+        if weight:
+            val = (_grid_pole_integral(m, q, n - 1) if n > 1 else 1.0) + q * val
+        for _ in range(n):
+            val = val * inv
+    return val.real if np.isrealobj(p) else val
 
 
 def _grid_pole_integral(m: GridDensity, p: np.ndarray, n: int) -> np.ndarray:
@@ -187,31 +207,6 @@ def _grid_pole_integral(m: GridDensity, p: np.ndarray, n: int) -> np.ndarray:
         k = 1 - n
         cell = c * (u2**k - u1**k) / k + beta * (u2 ** (k + 1) - u1 ** (k + 1)) / (k + 1)
     return np.sum(cell, axis=-1)
-
-
-def deformed_power(m: Measure, scale: float, pole: float, n: int,
-                   weight: int = 0) -> float:
-    """integral v^weight dnu(v) / (scale*v - pole)^n for real pole strictly
-    outside scale*support; stable for any scale >= 0 (a scale below 1e-50
-    is indistinguishable from zero at double precision)."""
-    if scale < 1e-50:
-        base = (-pole) ** float(-n)
-        return base * (mean(m) if weight else 1.0)
-    if isinstance(m, (Atomic, Jacobi)):
-        x, w = _quad_nodes(m)
-        return float(np.sum(w * (x**weight if weight else 1.0)
-                            / (scale * x - pole) ** n))
-    # grid route: (scale*v - pole)^n = scale^n (v - pole/scale)^n, with the
-    # 1/scale factors applied one at a time to dodge under/overflow
-    inv = 1.0 / scale
-    p = np.asarray(pole * inv + 0j)
-    val = _grid_pole_integral(m, p, n)
-    if weight:
-        low = _grid_pole_integral(m, p, n - 1) if n > 1 else np.asarray(1.0 + 0j)
-        val = low + (pole * inv) * val
-    for _ in range(n):
-        val = val * inv
-    return float(np.real(val))
 
 
 def mean(m: Measure) -> float:

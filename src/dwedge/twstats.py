@@ -287,7 +287,7 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
             cached = _scaling_and_locations(
                 ms.empirical_from_values(v), spec.lam0, n, k_max)
         sc, gam = cached
-        mu = sc.gamma * ens.eigenvalues(h, top=k_max).eigenvalues
+        mu = sc.gamma * ens.eigenvalues(h, top=k_max)
         stats[j] = pref * np.abs(mu - gam)
     med = np.median(stats, axis=0)
     p95 = np.quantile(stats, 0.95, axis=0)
@@ -353,7 +353,7 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
         sc = fixed_sc
         if sc is None:
             sc = es.build(ms.empirical_from_values(v), spec.lam0)
-        mu = ens.eigenvalues(h, top=top_k).eigenvalues
+        mu = ens.eigenvalues(h, top=top_k)
         return sc.e_plus, sc.gamma, sc.gamma * n23 * (mu - sc.e_plus)
 
     if parallel == 1:
@@ -407,9 +407,11 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
         raise ValueError("need sigma0 >= 0 and delta >= 0")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
+    n_list = [int(n) for n in n_list]
+    if min(n_list) < 2:
+        raise ValueError(f"need every N >= 2, got {n_list}")
     out = []
     for n in n_list:
-        n = int(n)
         lam0 = sigma0 * n ** (-delta)
         case = _regime_case(delta)
         sc = es.build(nu, lam0)
@@ -442,7 +444,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             for j in range(n_samples):
                 rng = rngstream.stream(seed, f"regime{n}", j)
                 h, _ = ens.sample_deformed(spec, rng)
-                mu1 = ens.eigenvalues(h, top=1).eigenvalues[0]
+                mu1 = ens.eigenvalues(h, top=1)[0]
                 stats[j] = pref * (mu1 - e_plus)
         out.append({
             "N": n, "lam0": lam0, "case": case, "law": law,

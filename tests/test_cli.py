@@ -188,6 +188,31 @@ def test_bad_ensemble_value_exits_2(tmp_path, capsys, command, source,
     assert "error:" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    ("mc-edge", ["--n", "0"], None), ("mc-edge", ["--top-k", "0"], None),
+    ("mc-edge", ["--workers", "0"], None), ("regime", ["--n", "0"], None),
+    ("regime", ["--sizes", "0"], None), ("regime", ["--sizes", "1"], None),
+    ("fc-solve", ["--points", "1"], None), ("fc-solve", ["--eta", "0"], None),
+    ("fc-solve", ["--lam", "-1"], None), ("edge-scaling", ["--lam", "-1"], None),
+    ("verify", ["--seeds", "0"], None),
+    ("sample", ["--n", "0", "--format", "binary"], None),
+    ("mc-edge", [], {"n": "abc"}), ("regime", [], {"sizes": 5}),
+    ("fc-solve", [], {"measure": [1, 2]}), ("verify", [], {"seeds": "x"}),
+]
+
+
+@pytest.mark.parametrize("command,flags,config", BAD_VALUES)
+def test_bad_value_exits_2(tmp_path, capsys, command, flags, config):
+    argv = [command, *flags, "--out", str(tmp_path / "o")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert exit_code(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # mc-edge.
 
@@ -269,6 +294,20 @@ def test_dbm_edge_observable(tmp_path):
     assert "ks_first_last" in summary
     assert set(summary["per_time"]) == {"0.0", "0.5", "1.0"}
     assert summary["config"]["c2"] == 1.0  # matched diagonal resolved
+
+
+@pytest.mark.parametrize("observable", ["edge", "m-edge"])
+@pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["-1", "0"]])
+def test_dbm_times_out_of_order_exit_2_before_sampling(tmp_path, monkeypatch,
+                                                        capsys, observable, times):
+    # at the parent, edge reported the t=1 eigenvalues under t=0
+    calls, draw = [], ens.sample_deformed
+    monkeypatch.setattr(ens, "sample_deformed",
+                        lambda *a: calls.append(a) or draw(*a))
+    assert run("dbm", "--N", "20", "--n", "2", "--times", *times, "--seed", "3",
+               "--observable", observable, "--out", str(tmp_path / "d")) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_dbm_m_edge_observable(tmp_path):

@@ -66,7 +66,7 @@ def test_goe_edge_reaches_two():
     for i in range(20):
         w = en.sample_wigner(1000, en.GAUSSIAN, 1.0, stream(5, "goe-edge", i),
                              zero_diagonal=False)
-        tops.append(en.eigenvalues(w).eigenvalues[0])
+        tops.append(en.eigenvalues(w)[0])
     assert np.mean(tops) / 2.0 == pytest.approx(1.0, abs=0.05)
 
 
@@ -84,8 +84,8 @@ def test_fixed_potential_is_exact_shift():
     shifted = en.EnsembleSpec(N=n, lam0=1.0, potential=en.Fixed(c * np.ones(n)), seed=11)
     h0, _ = en.sample_deformed(base, stream(11, "shift"))
     h1, _ = en.sample_deformed(shifted, stream(11, "shift"))
-    ev0 = en.eigenvalues(h0).eigenvalues
-    ev1 = en.eigenvalues(h1).eigenvalues
+    ev0 = en.eigenvalues(h0)
+    ev1 = en.eigenvalues(h1)
     np.testing.assert_allclose(ev1, ev0 + c, atol=1e-12)
 
 
@@ -93,13 +93,13 @@ def test_largest_eigenvalue_tracks_edge_prediction():
     spec = two_atom_spec(n=500)
     h, v = en.sample_deformed(spec, stream(spec.seed, "edge"))
     scaling = es.build(ms.empirical_from_values(v), spec.lam0)
-    mu1 = en.eigenvalues(h).eigenvalues[0]
+    mu1 = en.eigenvalues(h)[0]
     assert abs(mu1 - scaling.e_plus) < 15.0 * spec.N ** (-2.0 / 3.0)
 
 
 def test_eigenvalues_trivial_cases():
-    assert en.eigenvalues(np.diag([3.0, 1.0, 2.0])).eigenvalues.tolist() == [3.0, 2.0, 1.0]
-    ev = en.eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues
+    assert en.eigenvalues(np.diag([3.0, 1.0, 2.0])).tolist() == [3.0, 2.0, 1.0]
+    ev = en.eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(ev, [1.0, -1.0], atol=1e-15)
     with pytest.raises(ValueError):
         en.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -113,7 +113,7 @@ def test_symmetry_check_is_relative_to_entry_scale():
     d = np.linspace(-1.0, 1.0, 50) * 1e6
     h = q @ np.diag(d) @ q.T
     assert np.max(np.abs(h - h.T)) > 1e-12
-    ev = en.eigenvalues(h).eigenvalues
+    ev = en.eigenvalues(h)
     np.testing.assert_allclose(ev, d[::-1], rtol=0, atol=1e-9 * 1e6)
     with pytest.raises(ValueError, match="not symmetric"):
         en.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -136,15 +136,15 @@ def test_eigenvalues_reject_non_finite_entries(bad, pos, top):
 @pytest.mark.parametrize("n", [2, 50, 500])
 def test_top_k_is_the_head_of_the_full_spectrum(n, law):
     h = en.sample_wigner(n, law, 1.0, stream(12, "topk", n), zero_diagonal=False)
-    full = en.eigenvalues(h).eigenvalues
+    full = en.eigenvalues(h)
     for k in sorted({min(k, n) for k in (1, 20, n)}):
-        top = en.eigenvalues(h, sample_index=3, top=k)
-        assert top.eigenvalues.shape == (k,) and top.sample_index == 3
-        np.testing.assert_allclose(top.eigenvalues, full[:k], rtol=0, atol=1e-12)
+        top = en.eigenvalues(h, top=k)
+        assert top.shape == (k,)
+        np.testing.assert_allclose(top, full[:k], rtol=0, atol=1e-12)
 
 
 def test_top_k_keeps_a_repeated_top_eigenvalue():
-    ev = en.eigenvalues(np.diag([3.0, 1.0, 2.0, 3.0]), top=2).eigenvalues
+    ev = en.eigenvalues(np.diag([3.0, 1.0, 2.0, 3.0]), top=2)
     assert ev.tolist() == [3.0, 3.0]
 
 
@@ -182,14 +182,14 @@ def test_eigenvalues_match_high_precision_oracle():
     oracle = json.loads((DATA / "eig50.json").read_text())
     w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
                          zero_diagonal=False)
-    ev = en.eigenvalues(w).eigenvalues
+    ev = en.eigenvalues(w)
     assert np.max(np.abs(ev - np.array(oracle["eigenvalues_desc"]))) < 1e-8
 
 
 def test_trace_and_frobenius_invariance():
     spec = two_atom_spec(n=300)
     h, _ = en.sample_deformed(spec, stream(1, "inv"))
-    ev = en.eigenvalues(h).eigenvalues
+    ev = en.eigenvalues(h)
     assert abs(ev.sum() - np.trace(h)) < 1e-8 * spec.N
     assert abs(np.sum(ev**2) - np.sum(h * h)) < 1e-8 * spec.N
 
@@ -241,29 +241,28 @@ def test_spec_validation():
 
 
 def test_spectra_files_round_trip(tmp_path):
-    spectra = []
-    for i in range(3):
-        h, _ = en.sample_deformed(two_atom_spec(n=20), stream(1, "io", i))
-        spectra.append(en.eigenvalues(h, sample_index=i))
+    spectra = np.array([
+        en.eigenvalues(en.sample_deformed(two_atom_spec(n=20), stream(1, "io", i))[0])
+        for i in range(3)])
     b = tmp_path / "spectra.bin"
     en.write_spectra_binary(str(b), spectra)
     data = en.read_spectra_binary(str(b))
     assert data.shape == (3, 20)
     for i in range(3):
-        np.testing.assert_array_equal(data[i], spectra[i].eigenvalues)
+        np.testing.assert_array_equal(data[i], spectra[i])
     c = tmp_path / "spectra.csv"
     en.write_spectra_csv(str(c), spectra)
     lines = c.read_text().splitlines()
     assert lines[0] == "sample_index,k,mu_k"
     assert len(lines) == 1 + 3 * 20
     idx, k, mu = lines[1].split(",")
-    assert (idx, k) == ("0", "1") and float(mu) == spectra[0].eigenvalues[0]
+    assert (idx, k) == ("0", "1") and float(mu) == spectra[0, 0]
 
 
 @settings(max_examples=25)
 @given(st.integers(2, 12), st.floats(-3, 3), st.integers(0, 2**32 - 1))
 def test_shift_equivariance(n, c, seed):
     w = en.sample_wigner(n, en.GAUSSIAN, 1.0, stream(seed, "hyp"), zero_diagonal=False)
-    ev = en.eigenvalues(w).eigenvalues
-    ev_shift = en.eigenvalues(w + c * np.eye(n)).eigenvalues
+    ev = en.eigenvalues(w)
+    ev_shift = en.eigenvalues(w + c * np.eye(n))
     np.testing.assert_allclose(ev_shift, ev + c, atol=1e-10)

@@ -80,6 +80,19 @@ def test_solve_grid_semicircle_density():
     assert np.all(sol.m.imag >= 0)
 
 
+@pytest.mark.parametrize("nu", [D0, TWO, ms.Jacobi(0.5, 0.5),
+                                ms.GridDensity(-1.0, 1.0, np.ones(64))])
+@pytest.mark.parametrize("gamma", [1.0, 0.8])
+def test_maps_at_vanishing_coupling_is_the_semicircle_map(nu, gamma):
+    # lam gamma = 1e-60 is zero at double precision: F = 1/(-z - gamma^2 m)
+    z = np.array([0.3 + 0.5j, -1.2 + 1e-3j, 2.5 + 1e-7j])
+    m = np.array([0.1 + 0.4j, -0.2 + 0.9j, -0.4 + 1e-6j])
+    f, fp = fc._maps(nu, 1e-60, gamma, z, m)
+    d = -z - gamma**2 * m
+    np.testing.assert_allclose(f, 1.0 / d, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(fp, gamma**2 / d**2, rtol=1e-14, atol=0)
+
+
 def test_solve_grid_solves_no_edge_root(monkeypatch):
     e_m, e_p = fc.support_endpoints(TWO, 0.5)
     calls = []

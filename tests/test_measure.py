@@ -57,6 +57,48 @@ def test_deformed_power_real_pole(n, want):
     assert got == pytest.approx(want, abs=1e-10)
 
 
+POLE_MEASURES = [
+    ms.Atomic(np.array([-1.0, 0.2, 1.0]), np.array([0.3, 0.5, 0.2])),
+    ms.Jacobi(0.5, 1.5),
+    ms.GridDensity(-1.0, 1.0, np.linspace(0.2, 1.0, 257)),
+]
+POLE_IDS = ["atomic", "jacobi", "grid"]
+
+
+@pytest.mark.parametrize("med", POLE_MEASURES, ids=POLE_IDS)
+@pytest.mark.parametrize("weight", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_deformed_power_real_pole_as_complex_agrees(med, weight, n):
+    for scale, pole in ((0.7, 1.3), (1.0, -2.5)):
+        real = ms.deformed_power(med, scale, pole, n, weight)
+        cplx = ms.deformed_power(med, scale, complex(pole), n, weight)
+        assert isinstance(real, float) and isinstance(cplx, complex)
+        assert cplx.real == pytest.approx(real, rel=1e-13)
+        assert abs(cplx.imag) <= 1e-13 * abs(real)
+
+
+@pytest.mark.parametrize("med", POLE_MEASURES, ids=POLE_IDS)
+@pytest.mark.parametrize("weight", [0, 1])
+def test_deformed_power_is_elementwise_over_poles(med, weight):
+    poles = np.array([[1.3 + 0.1j, -0.4 + 1e-3j], [0.0 + 2.0j, 5.0 + 0.0j]])
+    got = ms.deformed_power(med, 0.7, poles, 2, weight)
+    assert got.shape == poles.shape
+    want = [ms.deformed_power(med, 0.7, p, 2, weight) for p in poles.ravel()]
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("med", POLE_MEASURES, ids=POLE_IDS)
+@pytest.mark.parametrize("scale", [0.0, 1e-60])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deformed_power_at_vanishing_scale(med, scale, n):
+    # integral v^w dnu / (-p)^n: no branch for atoms and Jacobi nodes
+    p = 0.3 + 2.0j
+    assert ms.deformed_power(med, scale, p, n) == pytest.approx(
+        (-p) ** (-n), rel=1e-14)
+    assert ms.deformed_power(med, scale, p, n, weight=1) == pytest.approx(
+        ms.mean(med) * (-p) ** (-n), rel=1e-13, abs=1e-16)
+
+
 def test_stieltjes_rejects_lower_half_plane():
     m = ms.Atomic(np.array([0.0]), np.array([1.0]))
     for bad in (1.0 - 1j, 2.0):
