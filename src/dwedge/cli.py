@@ -237,6 +237,8 @@ SAMPLE_DEFAULTS = {
 def cmd_sample(cfg: dict) -> int:
     if cfg["out"] is None:
         raise ConfigError("sample: --out is required")
+    if int(cfg["n"]) < 0:
+        raise ConfigError(f"sample: need --n >= 0, got {cfg['n']}")
     writers = {"binary": ens.write_spectra_binary, "csv": ens.write_spectra_csv}
     spec = _spec_from_cfg(cfg)
     spectra = np.empty((int(cfg["n"]), spec.N))
@@ -308,6 +310,8 @@ DBM_DEFAULTS = {
 
 
 def cmd_dbm(cfg: dict) -> int:
+    if int(cfg["n"]) < 1:
+        raise ConfigError(f"dbm: need --n >= 1, got {cfg['n']}")
     times = dbm.flow_times(cfg["times"])
     spec = _spec_from_cfg(cfg)
     lines = ["trajectory,t,value"]

@@ -12,6 +12,13 @@ numpy for the full spectrum, dsyevr via scipy for only the top k (the edge
 statistics read mu_1 .. mu_k and nothing below).  Backward error of either
 factorization is far below the 1e-10 * ||H|| contract and is spot-checked in
 the tests against an independent high-precision oracle at N = 50.
+
+Checks live at the two entries: eigenvalues() checks any matrix it is given
+(square, finite, symmetric) and never modifies it, and sample_deformed()
+checks the one part of its output that can be non-finite, the diagonal.  The
+Monte Carlo loops, which discard each sampled matrix after its solve, call
+_top_eigenvalues() on it directly: no second validation pass, and LAPACK
+overwrites the matrix in place instead of working on a copy.
 """
 
 from __future__ import annotations
@@ -69,16 +76,20 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # written so that NaN fails each comparison
         if self.N < 2:
             raise ValueError("need N >= 2")
-        if self.lam0 < 0:
-            raise ValueError("need lam0 >= 0")
+        if not 0 <= self.lam0 < np.inf:
+            raise ValueError(f"need a finite lam0 >= 0, got {self.lam0}")
         if self.law not in (GAUSSIAN, RADEMACHER):
             raise ValueError(f"unknown entry law {self.law!r}")
-        if self.c2 < -1:
-            raise ValueError("need c2 >= -1")
-        if isinstance(self.potential, Fixed) and self.potential.values.size != self.N:
-            raise ValueError("fixed potential length must equal N")
+        if not -1 <= self.c2 < np.inf:
+            raise ValueError(f"need a finite c2 >= -1, got {self.c2}")
+        if isinstance(self.potential, Fixed):
+            if self.potential.values.size != self.N:
+                raise ValueError("fixed potential length must equal N")
+            if not np.isfinite(self.potential.values).all():
+                raise ValueError("fixed potential values must be finite")
 
 
 def _symmetric_noise(n: int, law: str, rng: np.random.Generator,
@@ -124,10 +135,16 @@ def sample_deformed(spec: EnsembleSpec, rng: np.random.Generator
     """One draw of (H, V) with H = lam0 * diag(V) + W.
 
     V is returned so callers can condition edge statistics on the realized
-    potential (per-sample rescaling constants are functions of V)."""
+    potential (per-sample rescaling constants are functions of V).  H is
+    symmetric by construction and its off-diagonal entries are finite, so
+    one O(N) check of the diagonal makes it a valid input for
+    _top_eigenvalues."""
     v = draw_potential(spec, rng)
     h = sample_wigner(spec.N, spec.law, spec.c2, rng, spec.zero_diagonal)
     h[np.diag_indices(spec.N)] += spec.lam0 * v
+    if not np.isfinite(h.diagonal()).all():
+        raise ValueError("sampled matrix has a non-finite diagonal entry "
+                         "(from lam0 * V or c2)")
     return h, v
 
 
@@ -144,11 +161,25 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
     return decay * h + np.sqrt(1.0 - decay * decay) * goe
 
 
+def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
+    """The k largest eigenvalues of a finite, exactly symmetric matrix,
+    descending, by LAPACK dsyevr.  Unchecked, and h is destroyed: the solve
+    runs in place on h.T, the same matrix already in Fortran order, so
+    nothing is copied and the result is bit-for-bit that of eigh(h)."""
+    n = h.shape[0]
+    w = scipy.linalg.eigh(h.T, eigvals_only=True, overwrite_a=True,
+                          check_finite=False, subset_by_index=[n - k, n - 1],
+                          driver="evr")
+    if w.size != k:
+        raise np.linalg.LinAlgError(f"dsyevr found {w.size} of {k} eigenvalues")
+    return w[::-1]
+
+
 def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
     """Eigenvalues, descending: the full spectrum (LAPACK dsyevd through
-    numpy.linalg.eigvalsh), or with top=k only the k largest (dsyevr through
-    scipy.linalg.eigh with subset_by_index, which skips the rest of the
-    spectrum after the tridiagonal reduction)."""
+    numpy.linalg.eigvalsh), or with top=k only the k largest (dsyevr, which
+    skips the rest of the spectrum after the tridiagonal reduction).  h is
+    checked and left unchanged."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("need a square matrix")
     n = h.shape[0]
@@ -162,12 +193,8 @@ def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
     if np.max(np.abs(h - h.T)) > tol:
         raise ValueError(f"matrix is not symmetric within {tol:.3g}")
     if top is None:
-        ev = np.linalg.eigvalsh(h)[::-1]
-    else:
-        ev = scipy.linalg.eigh(h, eigvals_only=True, check_finite=False,
-                               subset_by_index=[n - top, n - 1],
-                               driver="evr")[::-1]
-    return ev
+        return np.linalg.eigvalsh(h)[::-1]
+    return _top_eigenvalues(np.array(h, dtype=float), top)
 
 
 def potential_to_json(potential: IIDFrom | Fixed) -> dict:

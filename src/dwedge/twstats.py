@@ -287,7 +287,7 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
             cached = _scaling_and_locations(
                 ms.empirical_from_values(v), spec.lam0, n, k_max)
         sc, gam = cached
-        mu = sc.gamma * ens.eigenvalues(h, top=k_max)
+        mu = sc.gamma * ens._top_eigenvalues(h, k_max)
         stats[j] = pref * np.abs(mu - gam)
     med = np.median(stats, axis=0)
     p95 = np.quantile(stats, 0.95, axis=0)
@@ -353,7 +353,7 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
         sc = fixed_sc
         if sc is None:
             sc = es.build(ms.empirical_from_values(v), spec.lam0)
-        mu = ens.eigenvalues(h, top=top_k)
+        mu = ens._top_eigenvalues(h, top_k)
         return sc.e_plus, sc.gamma, sc.gamma * n23 * (mu - sc.e_plus)
 
     if parallel == 1:
@@ -444,7 +444,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             for j in range(n_samples):
                 rng = rngstream.stream(seed, f"regime{n}", j)
                 h, _ = ens.sample_deformed(spec, rng)
-                mu1 = ens.eigenvalues(h, top=1)[0]
+                mu1 = ens._top_eigenvalues(h, 1)[0]
                 stats[j] = pref * (mu1 - e_plus)
         out.append({
             "N": n, "lam0": lam0, "case": case, "law": law,

@@ -7,6 +7,7 @@ semicircle doubles as the smallest full-pipeline integration test.
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def test_sample_accepts_matched_c2(tmp_path):
 # ---------------------------------------------------------------------------
 # Ensemble values: a rejected value exits 2 with a message, never a traceback.
 
-BAD_ENSEMBLE = [("N", 1), ("lam0", -1.0), ("c2", -2.0), ("law", "cauchy")]
+BAD_ENSEMBLE = [("N", 1), ("lam0", -1.0), ("c2", -2.0), ("law", "cauchy"),
+                ("lam0", float("nan")), ("c2", float("inf"))]
 
 
 @pytest.mark.parametrize("command", ["sample", "mc-edge", "dbm"])
@@ -199,6 +201,19 @@ BAD_VALUES = [
     ("mc-edge", [], {"n": "abc"}), ("regime", [], {"sizes": 5}),
     ("fc-solve", [], {"measure": [1, 2]}), ("verify", [], {"seeds": "x"}),
 ]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("dbm", ["--n", "0"]), ("sample", ["--n", "-1"]),
+])
+def test_bad_sample_count_exits_2_naming_the_flag(tmp_path, capsys, command,
+                                                  flags):
+    # dbm --n 0 used to average empty lists (numpy warnings) before failing,
+    # and sample --n -1 failed in numpy with "negative dimensions"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(command, *flags, "--out", str(tmp_path / "o")) == 2
+    assert "--n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flags,config", BAD_VALUES)

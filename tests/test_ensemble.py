@@ -154,6 +154,54 @@ def test_top_outside_one_to_n_is_rejected(top):
         en.eigenvalues(np.eye(4), top=top)
 
 
+@pytest.mark.parametrize("k", [1, 20])
+def test_in_place_solve_matches_the_checked_entry(k):
+    # the Monte Carlo loops call _top_eigenvalues on the sampled matrix
+    h, _ = en.sample_deformed(two_atom_spec(n=300), stream(14, "inplace", k))
+    norm = np.linalg.norm(h, 2)
+    fast = en._top_eigenvalues(h.copy(), k)
+    assert fast.shape == (k,)
+    np.testing.assert_allclose(fast, en.eigenvalues(h, top=k),
+                               rtol=0, atol=1e-13 * norm)
+    np.testing.assert_allclose(fast, en.eigenvalues(h)[:k],
+                               rtol=0, atol=1e-13 * norm)
+
+
+@pytest.mark.parametrize("top", [None, 1, 20])
+def test_eigenvalues_leave_the_input_unchanged(top):
+    h, _ = en.sample_deformed(two_atom_spec(n=100), stream(15, "keep"))
+    before = h.tobytes()
+    en.eigenvalues(h, top=top)
+    assert h.tobytes() == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampler_rejects_a_non_finite_potential_term(monkeypatch, bad):
+    # a potential draw the spec cannot see, e.g. an infinite atom of an iid law
+    spec = two_atom_spec(n=20)
+    monkeypatch.setattr(en, "draw_potential",
+                        lambda spec, rng: np.r_[bad, np.zeros(spec.N - 1)])
+    with pytest.raises(ValueError, match="non-finite"):
+        en.sample_deformed(spec, stream(16, "nan"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sampler_rejects_an_overflowing_potential_term():
+    spec = en.EnsembleSpec(N=4, lam0=10.0,
+                           potential=en.Fixed([1e308, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        en.sample_deformed(spec, stream(16, "overflow"))
+
+
+def test_sampler_rejects_an_infinite_diagonal_weight():
+    spec = en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed(np.zeros(4)),
+                           zero_diagonal=False)
+    # past the spec's own check, which rejects c2 = inf
+    object.__setattr__(spec, "c2", np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        en.sample_deformed(spec, stream(16, "c2"))
+
+
 @pytest.mark.parametrize("zero_diagonal", [True, False])
 @pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
 @pytest.mark.parametrize("n", [2, 3, 50])
@@ -238,6 +286,18 @@ def test_spec_validation():
         en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed([0.0] * 4), law="cauchy")
     with pytest.raises(ValueError):
         en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed([0.0] * 4), c2=-2.0)
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("lam0", {"lam0": np.nan}), ("lam0", {"lam0": np.inf}),
+    ("c2", {"c2": np.nan}), ("c2", {"c2": np.inf}),
+    ("potential", {"potential": en.Fixed([np.inf, 0.0])}),
+    ("potential", {"potential": en.Fixed([np.nan, 0.0])}),
+])
+def test_spec_rejects_non_finite_values(field, kwargs):
+    args = {"N": 2, "lam0": 0.5, "potential": en.Fixed([0.0, 0.0]), **kwargs}
+    with pytest.raises(ValueError, match=field):
+        en.EnsembleSpec(**args)
 
 
 def test_spectra_files_round_trip(tmp_path):

@@ -13,6 +13,7 @@ acceptance suite for the rate itself.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import dwedge.edgescale as es
@@ -185,6 +186,44 @@ def test_optical_window_median_decreases():
         med[n] = abs(np.median(x.real) + 1j * np.median(x.imag))
     assert med[100] < 0.25
     assert med[400] < med[100] - 0.01
+
+
+def optical_window_loop(h, scaling, eta, halfwidth=3.0, points=13,
+                        potential=None):
+    # the one-point-at-a-time form optical_window had before it batched the
+    # window into one real matrix product; kept as its reference
+    n = h.shape[0]
+    v = np.diag(h) / scaling.lam if potential is None else potential
+    mu, vec = scipy.linalg.eigh(scaling.gamma * h)
+    vec_sq = vec * vec
+    w = (scaling.lam * scaling.gamma * v - scaling.tau) ** (-2.0)
+    acc = 0.0 + 0.0j
+    for y in np.linspace(-halfwidth, halfwidth, points) * n ** (-2.0 / 3.0):
+        z = scaling.l_plus + y + 1j * eta
+        r = 1.0 / (mu - z)
+        m = r.mean()
+        bracket = (z + scaling.gamma**2 * m - scaling.tau) * np.mean(r**2) \
+            + np.mean(r**3) / n
+        gii = vec_sq @ r
+        d2 = vec_sq @ (r * r)
+        acc += bracket + np.mean(gii * gii - w * d2 / n) / (2.0 * scaling.A[3])
+    return complex(acc / points)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("n", [100, 400])
+def test_optical_window_matches_the_pointwise_loop(n, explicit):
+    spec = ens.EnsembleSpec(N=n, lam0=0.05, potential=ens.IIDFrom(TWO),
+                            zero_diagonal=False)
+    eta = n ** (-2.0 / 3.0 - 0.05)
+    for s in range(3):
+        h, v = ens.sample_deformed(spec, stream(909, "optloop", n * 10 + s))
+        sc = es.build(ms.empirical_from_values(v), spec.lam0)
+        pot = v if explicit else None
+        for points in (1, 13):
+            got = rv.optical_window(h, sc, eta, points=points, potential=pot)
+            want = optical_window_loop(h, sc, eta, points=points, potential=pot)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_optical_window_validation():
