@@ -88,11 +88,12 @@ def _from_file(key: str, val):
         elif isinstance(val, list) and val:
             val = [convert(x) for x in val]
         else:
-            raise ValueError("expected a nonempty list")
+            raise ValueError(f"expected a nonempty list, got {val!r}")
         if "choices" in opts and val not in opts["choices"]:
-            raise ValueError(f"expected one of {opts['choices']}")
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
-        raise ConfigError(f"config.{key}: {e}, got {val!r}") from e
+            raise ValueError(f"expected one of {opts['choices']}, got {val!r}")
+    except (TypeError, ValueError, OverflowError,
+            argparse.ArgumentTypeError) as e:
+        raise ConfigError(f"config.{key}: {e}") from e
     return val
 
 
@@ -133,17 +134,18 @@ def _summary(command: str, cfg: dict, **extra) -> dict:
 
 
 def _emit(summary: dict, out: str | None, csv_text: str | None = None) -> None:
-    """Write <out>.json (+ <out>.csv when given) or print JSON to stdout."""
+    """Write <out>.json (+ <out>.csv when given) or print JSON to stdout;
+    a NaN or infinity, which JSON cannot hold, raises before any write."""
+    text = json.dumps(summary, indent=2, default=float, allow_nan=False) + "\n"
     if out is None:
-        json.dump(summary, sys.stdout, indent=2, default=float)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         return
     base = out
     for suffix in (".json", ".csv"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
     with open(base + ".json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        fh.write(text)
     wrote = [base + ".json"]
     if csv_text is not None:
         with open(base + ".csv", "w") as fh:
@@ -465,29 +467,41 @@ def cmd_tw_table(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+def _finite_float(raw) -> float:
+    """The one converter of every real-valued flag and config value."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return val
+
+
 def _c2_arg(raw: str):
     if raw == "matched":
         return raw
     try:
-        return float(raw)
+        float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'matched' or a number, got {raw!r}") from None
+    return _finite_float(raw)
 
 
 # One entry per config key: the add_argument options of its --flag.
 _FLAGS = {
     "measure": {"help": "measure JSON (inline or file path)"},
-    "lam": {"type": float},
-    "gamma": {"type": float},
-    "lo": {"type": float},
-    "hi": {"type": float},
+    "lam": {"type": _finite_float},
+    "gamma": {"type": _finite_float},
+    "lo": {"type": _finite_float},
+    "hi": {"type": _finite_float},
     "points": {"type": int},
-    "eta": {"type": float},
+    "eta": {"type": _finite_float},
     "extrapolate": {"action": "store_const", "const": True,
                     "help": "two-eta Richardson extrapolation of the density"},
     "N": {"type": int},
-    "lam0": {"type": float},
+    "lam0": {"type": _finite_float},
     "potential": {"help": "'zeros', measure JSON for iid V, or the potential "
                           "JSON of a summary"},
     "law": {"choices": [ens.GAUSSIAN, ens.RADEMACHER]},
@@ -502,15 +516,15 @@ _FLAGS = {
     "top_k": {"type": int},
     "workers": {"type": int,
                 "help": "sample-level parallelism (default $DWEDGE_WORKERS)"},
-    "sigma0": {"type": float},
-    "delta": {"type": float},
+    "sigma0": {"type": _finite_float},
+    "delta": {"type": _finite_float},
     "sizes": {"type": int, "nargs": "+", "metavar": "N"},
-    "times": {"type": float, "nargs": "+"},
+    "times": {"type": _finite_float, "nargs": "+"},
     "observable": {"choices": ["edge", "m-edge"],
                    "help": "edge eigenvalue, or Im m at the moving edge"},
     "suite": {"choices": ["identities", "local-law", "optical", "all"]},
     "seeds": {"type": int, "help": "runs per suite"},
-    "step": {"type": float},
+    "step": {"type": _finite_float},
     "out": {"help": "output stem; writes <out>.json and, for table "
                     "commands, <out>.csv"},
 }

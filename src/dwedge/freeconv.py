@@ -175,8 +175,8 @@ def assumption_margin(nu: ms.Measure, lam: float) -> float:
 
     A nonnegative margin is the regularity assumption behind a square-root
     edge.  f is taken over the quadrature nodes (x_i, w_i) of nu with
-    w_i > 0: for a Jacobi or grid density that is a discrete measure whose
-    hull endpoints are not nodes, so Jacobi(2, 2) reads 2.4992 where the
+    w_i > 0: for a Jacobi density that is a discrete measure whose hull
+    endpoints are not nodes, so Jacobi(2, 2) reads 2.4992 where the
     continuous integral at -1 is 2.5.  Outside the outermost nodes f is
     monotone, and between two consecutive nodes it is convex and infinite
     at both ends, so the minimum is f at a hull endpoint or the minimum on
@@ -239,8 +239,8 @@ def _gap_minima(x, w, gaps, c):
 
 def _edge_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
     """_outer_roots after the regularity check on (nu, lam)."""
-    if lam < 0:
-        raise ValueError("need lam >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"need a finite lam >= 0, got {lam}")
     if lam > 0 and assumption_margin(nu, lam) < 0:
         raise AssumptionViolatedError(
             "min over the support hull of integral dnu/(v-x)^2 is below lam^2")
@@ -281,8 +281,8 @@ def density_at(nu: ms.Measure, lam: float, gamma: float, E, eta: float) -> np.nd
 
 def asymptotic_eplus(nu: ms.Measure, lam0: float) -> float:
     """Small-coupling expansion of the upper edge through fourth order."""
-    if lam0 < 0:
-        raise ValueError("need lam0 >= 0")
+    if not 0 <= lam0 < np.inf:
+        raise ValueError(f"need a finite lam0 >= 0, got {lam0}")
     m1 = ms.mean(nu)
     c2 = ms.central_moment(nu, 2)
     c3 = ms.central_moment(nu, 3)

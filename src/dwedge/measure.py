@@ -1,12 +1,9 @@
 """Probability measures on the real line and their Stieltjes transforms.
 
-Three measure variants cover every experiment in the package:
+Two measure variants cover every experiment in the package:
 
 * ``Atomic``: finitely many weighted point masses, the carrier of empirical
   potential distributions.
-* ``GridDensity``: a density sampled on a uniform grid, integrated as the
-  piecewise linear interpolant (so Stieltjes-type integrals stay exact for
-  the interpolant at any spectral height, however small).
 * ``Jacobi``: density proportional to (1+v)^a (1-v)^b on [-1, 1] with
   a, b > -1, integrated by Gauss-Jacobi rules that absorb the endpoint
   singularities exactly.
@@ -53,41 +50,14 @@ class Atomic:
         object.__setattr__(self, "weights", w)
         if loc.ndim != 1 or loc.shape != w.shape or loc.size == 0:
             raise ValueError("atoms need matching nonempty location/weight arrays")
+        if not (np.isfinite(loc).all() and np.isfinite(w).all()):
+            raise ValueError("atom locations and weights must be finite")
         if np.any(np.diff(loc) <= 0):
             raise ValueError("atom locations must be strictly increasing")
         if np.any(w < 0):
             raise ValueError("atom weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"atom weights sum to {w.sum()}, not 1")
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """Density values on the uniform grid linspace(lo, hi, len(values)).
-
-    Values are normalized at construction so the trapezoid integral is 1.
-    """
-
-    lo: float
-    hi: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("grid density needs at least two values")
-        if np.any(vals < 0):
-            raise ValueError("density values must be nonnegative")
-        mass = np.trapezoid(vals, dx=(self.hi - self.lo) / (vals.size - 1))
-        if mass <= 0:
-            raise ValueError("density has zero mass")
-        object.__setattr__(self, "values", vals / mass)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.values.size)
 
 
 @dataclass(frozen=True)
@@ -98,8 +68,9 @@ class Jacobi:
     b: float
 
     def __post_init__(self):
-        if not (self.a > -1 and self.b > -1):
-            raise ValueError("Jacobi exponents must exceed -1")
+        if not (-1 < self.a < np.inf and -1 < self.b < np.inf):
+            raise ValueError(f"Jacobi exponents must be finite and exceed -1, "
+                             f"got a = {self.a}, b = {self.b}")
 
     @property
     def log_norm(self) -> float:
@@ -113,42 +84,29 @@ class Jacobi:
         return np.exp(logd)
 
 
-Measure = Atomic | GridDensity | Jacobi
+Measure = Atomic | Jacobi
 
 
 @lru_cache(maxsize=32)
 def _jacobi_nodes(a: float, b: float, n: int = 160):
     # roots_jacobi uses weight (1-x)^alpha (1+x)^beta, so alpha=b, beta=a.
     x, w = roots_jacobi(n, b, a)
-    m = Jacobi(a, b)
-    return x, w / np.exp(m.log_norm)
+    return x, w / np.exp(Jacobi(a, b).log_norm)
 
 
 def _quad_nodes(m: Measure):
-    """Discrete nodes (x, w) with sum(w f(x)) = integral f dnu, exact for
-    polynomials up to degree 9 at least."""
+    """Discrete nodes (x, w) with sum(w f(x)) = integral f dnu: the atoms
+    themselves, or 160 Gauss-Jacobi nodes (exact to polynomial degree 319)."""
     if isinstance(m, Atomic):
         return m.locations, m.weights
-    if isinstance(m, Jacobi):
-        return _jacobi_nodes(m.a, m.b)
-    # per-cell 5-point Gauss-Legendre against the linear interpolant
-    g, q = np.polynomial.legendre.leggauss(5)
-    grid = m.grid
-    h = grid[1] - grid[0]
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    x = (mid[:, None] + 0.5 * h * g[None, :]).ravel()
-    rho = np.interp(x, grid, m.values)
-    w = (0.5 * h * np.broadcast_to(q, (mid.size, 5))).ravel() * rho
-    return x, w
+    return _jacobi_nodes(m.a, m.b)
 
 
 def support_interval(m: Measure) -> tuple[float, float]:
     """Smallest closed interval containing the support."""
     if isinstance(m, Atomic):
         return float(m.locations[0]), float(m.locations[-1])
-    if isinstance(m, Jacobi):
-        return -1.0, 1.0
-    return float(m.lo), float(m.hi)
+    return -1.0, 1.0
 
 
 def stieltjes(m: Measure, z) -> complex:
@@ -159,54 +117,14 @@ def stieltjes(m: Measure, z) -> complex:
 def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
     """integral v^weight dnu(v) / (scale*v - pole)^n, weight 0 or 1,
     elementwise over a real or complex pole array kept off scale*support;
-    a real pole gives a real value.  Atoms and Jacobi nodes are summed as
-    written, so any scale >= 0 is stable; only the exact cell integral of a
-    grid density divides by the scale."""
+    a real pole gives a real value.  The quadrature nodes are summed as
+    written, with no division by the scale, so any scale >= 0 is stable."""
     p = np.asarray(pole)
-    if not isinstance(m, GridDensity):
-        x, w = _quad_nodes(m)
-        if weight:
-            w = w * x
-        val = np.sum(w / (scale * x - p[..., None]) ** n, axis=-1)
-    elif scale < 1e-50:
-        # a scale this small is indistinguishable from zero at double precision
-        val = (-p) ** float(-n) * (mean(m) if weight else 1.0)
-    else:
-        # (scale*v - p)^n = scale^n (v - q)^n with q = p/scale, and
-        # v/(v - q)^n = 1/(v - q)^(n-1) + q/(v - q)^n; the 1/scale factors
-        # are applied one at a time to dodge under/overflow
-        inv = 1.0 / scale
-        q = p * inv
-        val = _grid_pole_integral(m, q, n)
-        if weight:
-            val = (_grid_pole_integral(m, q, n - 1) if n > 1 else 1.0) + q * val
-        for _ in range(n):
-            val = val * inv
+    x, w = _quad_nodes(m)
+    if weight:
+        w = w * x
+    val = np.sum(w / (scale * x - p[..., None]) ** n, axis=-1)
     return val.real if np.isrealobj(p) else val
-
-
-def _grid_pole_integral(m: GridDensity, p: np.ndarray, n: int) -> np.ndarray:
-    """integral rho(v) / (v - p)^n dv for the piecewise linear rho, exact.
-
-    On a cell [v1, v2] with rho = alpha + beta v, substituting u = v - p
-    gives integral (alpha + beta p + beta u) / u^n du in closed form.
-    """
-    p = np.asarray(p, dtype=complex)[..., None]
-    grid = m.grid
-    v1, v2 = grid[:-1], grid[1:]
-    r1, r2 = m.values[:-1], m.values[1:]
-    beta = (r2 - r1) / (v2 - v1)
-    alpha = r1 - beta * v1
-    u1, u2 = v1 - p, v2 - p
-    c = alpha + beta * p
-    if n == 1:
-        cell = c * (np.log(u2) - np.log(u1)) + beta * (u2 - u1)
-    elif n == 2:
-        cell = c * (1.0 / u1 - 1.0 / u2) + beta * (np.log(u2) - np.log(u1))
-    else:
-        k = 1 - n
-        cell = c * (u2**k - u1**k) / k + beta * (u2 ** (k + 1) - u1 ** (k + 1)) / (k + 1)
-    return np.sum(cell, axis=-1)
 
 
 def mean(m: Measure) -> float:
@@ -215,7 +133,7 @@ def mean(m: Measure) -> float:
 
 
 def central_moment(m: Measure, k: int) -> float:
-    """k-th central moment, k <= 8 (exact for atoms, node-exact otherwise)."""
+    """k-th central moment, k <= 8, exact for atoms and Jacobi nodes alike."""
     if not 0 <= k <= 8:
         raise ValueError("central moments supported for k <= 8")
     if k == 0:
@@ -246,19 +164,8 @@ def sample(m: Measure, n: int, rng: np.random.Generator) -> np.ndarray:
         cum = np.cumsum(m.weights)
         cum[-1] = 1.0
         return m.locations[np.searchsorted(cum, u, side="right").clip(0, m.locations.size - 1)]
-    grid, cdf = _cdf_table(m)
-    return np.interp(u, cdf, grid)
-
-
-def _cdf_table(m: Measure):
-    if isinstance(m, GridDensity):
-        grid = m.grid
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (m.values[:-1] + m.values[1:]) * np.diff(grid))))
-    else:
-        grid, cdf = _jacobi_cdf(m.a, m.b)
-    cdf = cdf / cdf[-1]
-    return grid, cdf
+    grid, cdf = _jacobi_cdf(m.a, m.b)
+    return np.interp(u, cdf / cdf[-1], grid)
 
 
 @lru_cache(maxsize=32)
@@ -288,9 +195,6 @@ def to_json(m: Measure) -> dict:
     if isinstance(m, Atomic):
         return {"type": "atomic",
                 "atoms": [[float(x), float(w)] for x, w in zip(m.locations, m.weights)]}
-    if isinstance(m, GridDensity):
-        return {"type": "grid", "lo": m.lo, "hi": m.hi,
-                "values": [float(v) for v in m.values]}
     return {"type": "jacobi", "a": m.a, "b": m.b}
 
 
@@ -308,21 +212,11 @@ def from_json(obj) -> Measure:
                           np.array([p[1] for p in atoms], dtype=float))
         except (TypeError, ValueError) as e:
             raise MeasureFormatError(f"measure.atoms: {e}") from e
-    if kind == "grid":
-        for field in ("lo", "hi", "values"):
-            if field not in obj:
-                raise MeasureFormatError(f"measure.{field}: missing")
-        try:
-            return GridDensity(float(obj["lo"]), float(obj["hi"]),
-                               np.asarray(obj["values"], dtype=float))
-        except (TypeError, ValueError) as e:
-            raise MeasureFormatError(f"measure.values: {e}") from e
     if kind == "jacobi":
-        for field in ("a", "b"):
-            if field not in obj:
-                raise MeasureFormatError(f"measure.{field}: missing")
         try:
             return Jacobi(float(obj["a"]), float(obj["b"]))
+        except KeyError as e:
+            raise MeasureFormatError(f"measure.{e.args[0]}: missing") from None
         except (TypeError, ValueError) as e:
             raise MeasureFormatError(f"measure.a/b: {e}") from e
     raise MeasureFormatError(f"measure.type: unknown variant {kind!r}")

@@ -153,8 +153,8 @@ class LimitLaw:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.sigma2 < 0.0:
-            raise ValueError("need sigma2 >= 0")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"need a finite sigma2 >= 0, got {self.sigma2}")
         if self.variant == GAUSS and not self.sigma2 > 0.0:
             raise ValueError("gaussian law needs sigma2 > 0")
 
@@ -403,8 +403,9 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
     the centered Gaussian with sigma2 = lam0^{-2}(1 - m_fc(E_plus)^2)
     evaluated at the run's lam0; no eigensolve is involved in that case.
     """
-    if sigma0 < 0.0 or delta < 0.0:
-        raise ValueError("need sigma0 >= 0 and delta >= 0")
+    for name, val in (("sigma0", sigma0), ("delta", delta)):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"need a finite {name} >= 0, got {val}")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     n_list = [int(n) for n in n_list]

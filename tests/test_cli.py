@@ -91,8 +91,14 @@ def test_fc_solve_records_newton_iterations(capsys):
 
 
 def test_fc_solve_malformed_measure_exits_2(tmp_path, capsys):
-    assert run("fc-solve", "--measure", '{"type":"grid","lo":0}') == 2
-    assert "measure.hi" in capsys.readouterr().err
+    assert run("fc-solve", "--measure", '{"type":"jacobi","a":0.5}') == 2
+    assert "measure.b" in capsys.readouterr().err
+
+
+def test_fc_solve_grid_measure_is_an_unknown_variant(capsys):
+    nu = '{"type":"grid","lo":0,"hi":1,"values":[1,1]}'
+    assert run("fc-solve", "--measure", nu) == 2
+    assert "measure.type: unknown variant 'grid'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +130,16 @@ def test_edge_scaling_zero_weight_atoms_fail_assumption(capsys):
     nu = '{"type":"atomic","atoms":[[-1.0001,0],[-1,0.5],[1,0.5],[1.0001,0]]}'
     assert run("edge-scaling", "--measure", nu, "--lam", "1.2") == 0
     assert json.loads(capsys.readouterr().out)["status"] == "assumption_failed"
+
+
+def test_edge_scaling_infinite_atom_exits_2(capsys):
+    # -inf passed the strictly-increasing check and reached the edge solve
+    nu = '{"type":"atomic","atoms":[[-1e999,0.5],[1,0.5]]}'
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("edge-scaling", "--measure", nu) == 2
+    assert "measure.atoms" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_edge_scaling_past_critical_coupling(capsys):
@@ -200,7 +216,31 @@ BAD_VALUES = [
     ("sample", ["--n", "0", "--format", "binary"], None),
     ("mc-edge", [], {"n": "abc"}), ("regime", [], {"sizes": 5}),
     ("fc-solve", [], {"measure": [1, 2]}), ("verify", [], {"seeds": "x"}),
+    ("mc-edge", [], {"N": float("inf")}),
 ]
+
+
+# every flag that takes a real number: all but the int and string ones
+FLOAT_FLAGS = [(command, key) for command, (_, defaults, _) in cli._COMMANDS.items()
+               for key in defaults if cli._FLAGS[key].get("type") not in (None, int)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,key", FLOAT_FLAGS)
+def test_non_finite_float_exits_2_naming_the_flag(tmp_path, capsys, command,
+                                                   key, source, value):
+    flag = "--" + key.replace("_", "-")
+    many = cli._FLAGS[key].get("nargs") == "+"
+    argv = [command, "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: [float(value)] if many else float(value)}))
+        argv += ["--config", str(path)]
+    assert exit_code(*argv) == 2
+    assert (flag if source == "flag" else f"config.{key}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -226,6 +266,13 @@ def test_bad_value_exits_2(tmp_path, capsys, command, flags, config):
     assert exit_code(*argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_emit_refuses_nan_before_writing(tmp_path):
+    # json.dump wrote the token NaN, which is not JSON
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit({"ks": float("nan")}, str(tmp_path / "o"), "csv\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

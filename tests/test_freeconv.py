@@ -81,7 +81,8 @@ def test_solve_grid_semicircle_density():
 
 
 @pytest.mark.parametrize("nu", [D0, TWO, ms.Jacobi(0.5, 0.5),
-                                ms.GridDensity(-1.0, 1.0, np.ones(64))])
+                                ms.Atomic(np.linspace(-1.0, 1.0, 64),
+                                          np.full(64, 1.0 / 64))])
 @pytest.mark.parametrize("gamma", [1.0, 0.8])
 def test_maps_at_vanishing_coupling_is_the_semicircle_map(nu, gamma):
     # lam gamma = 1e-60 is zero at double precision: F = 1/(-z - gamma^2 m)
@@ -251,6 +252,15 @@ def test_asymptotic_eplus_values():
         assert fc.asymptotic_eplus(point, l) == pytest.approx(2.0 + 0.7 * l, abs=1e-12)
         # a point mass shifts the semicircle rigidly, exact at all orders
         assert fc.support_endpoints(point, l)[1] == pytest.approx(2.0 + 0.7 * l, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_coupling_range_checks_refuse_nan_and_inf(bad):
+    # written as `lam < 0`, the checks let NaN through to the edge solve
+    with pytest.raises(ValueError, match="finite lam >= 0"):
+        fc.support_endpoints(TWO, bad)
+    with pytest.raises(ValueError, match="finite lam0 >= 0"):
+        fc.asymptotic_eplus(TWO, bad)
 
 
 def test_asymptotic_eplus_error_is_fifth_order():

@@ -125,6 +125,9 @@ def test_limit_law_validation():
         tw.LimitLaw(tw.TW1, -0.5)
     with pytest.raises(ValueError):
         tw.LimitLaw(tw.GAUSS, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite sigma2"):
+            tw.LimitLaw(tw.TW1_GAUSS_CONV, bad)
 
 
 def test_degenerate_convolution_is_tw1_exactly():
@@ -448,3 +451,8 @@ def test_regime_validation():
         tw.regime_test(TWO, 1.0, 0.2, [100], 0)
     with pytest.raises(ValueError):
         tw.regime_test(TWO, 0.0, 0.0, [100], 10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite sigma0"):
+            tw.regime_test(TWO, bad, 0.2, [100], 10)
+        with pytest.raises(ValueError, match="finite delta"):
+            tw.regime_test(TWO, 1.0, bad, [100], 10)
