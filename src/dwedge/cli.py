@@ -322,7 +322,7 @@ def cmd_dbm(cfg: dict) -> int:
         rng = rngstream.stream(spec.seed, "dbm", j)
         if cfg["observable"] == "m-edge":
             # value = Im m(t, z(t)) of the rescaled flow at the moving edge
-            for t, mval in dbm.flow_edge_track(spec, times, 0.0, rng):
+            for t, mval in dbm.flow_edge_track(spec, times, rng):
                 lines.append(f"{j},{t},{float(mval.imag)!r}")
                 values[t].append(mval.imag)
         else:

@@ -39,7 +39,7 @@ __all__ = [
     "ks_two_sample",
 ]
 
-EDGE_EPS = 0.01  # window/eta exponent for edge tracking, as elsewhere
+EDGE_EPS = 0.01  # eta exponent for edge tracking, as elsewhere
 
 
 @dataclass
@@ -80,28 +80,28 @@ def evolve(state: FlowState, dt: float) -> FlowState:
 
 
 def flow_times(times) -> list[float]:
-    """Observation times as floats: nonempty, nonnegative, strictly increasing."""
+    """Observation times as floats: nonempty, finite, nonnegative, strictly
+    increasing."""
     ts = [float(t) for t in times]
     if not ts:
         raise ValueError("need at least one time")
-    if ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"times must be nonnegative and strictly increasing, got {ts}")
+    if not (0.0 <= ts[0] and ts[-1] < math.inf
+            and all(a < b for a, b in zip(ts, ts[1:]))):
+        raise ValueError("times must be finite, nonnegative and strictly "
+                         f"increasing, got {ts}")
     return ts
 
 
-def flow_edge_track(spec: ens.EnsembleSpec, times, y: float,
+def flow_edge_track(spec: ens.EnsembleSpec, times,
                     rng: np.random.Generator) -> list[tuple[float, complex]]:
     """m(t, z(t)) of the rescaled matrix along one trajectory.
 
     At each requested time the matrix is gamma(t) H(t) and the spectral
-    point is z(t) = L+(t) + y + i eta with eta = N^(-2/3-eps); the
-    rescaling constants follow the decayed coupling lam0 e^{-t/2} against
-    the empirical potential measure of the realized draw.
+    point is the moving edge z(t) = L+(t) + i eta with eta = N^(-2/3-eps);
+    the rescaling constants follow the decayed coupling lam0 e^{-t/2}
+    against the empirical potential measure of the realized draw.
     """
     ts = flow_times(times)
-    ylim = spec.N ** (-2.0 / 3.0 + EDGE_EPS)
-    if abs(y) > ylim:
-        raise ValueError(f"|y| = {abs(y):.3e} outside the edge window {ylim:.3e}")
     eta = spec.N ** (-2.0 / 3.0 - EDGE_EPS)
     state, v = start(spec, rng)
     nu_hat = ms.empirical_from_values(v)
@@ -110,7 +110,7 @@ def flow_edge_track(spec: ens.EnsembleSpec, times, y: float,
         if t > state.t:
             state = evolve(state, t - state.t)
         sc = es.flow_scaling(nu_hat, spec.lam0, t)
-        z = sc.l_plus + y + 1j * eta
+        z = sc.l_plus + 1j * eta
         out.append((t, rv.green(sc.gamma * state.h, z).m))
     return out
 
@@ -139,8 +139,8 @@ def goe_invariance_check(n: int, t: float, n_samples: int,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples per batch")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"need a finite t >= 0, got {t}")
     top0, topt = [], []
     for _ in range(n_samples):
         h0 = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)

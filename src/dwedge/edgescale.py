@@ -31,6 +31,8 @@ import numpy as np
 from . import freeconv as fc
 from . import measure as ms
 
+_FD_STEP = 1e-5  # the time step of the central differences in coefficients
+
 
 @dataclass(frozen=True)
 class EdgeScaling:
@@ -72,25 +74,25 @@ def verify_gamma_relation(s: EdgeScaling) -> float:
 
 def flow_scaling(nu: ms.Measure, lam0: float, t: float) -> EdgeScaling:
     """Scaling with the flow coupling lam(t) = lam0 exp(-t/2)."""
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"need a finite time t >= 0, got {t}")
     return build(nu, lam0 * np.exp(-t / 2.0))
 
 
-def _flow_derivatives(nu: ms.Measure, lam0: float, t: float, h: float):
+def _flow_derivatives(nu: ms.Measure, lam0: float, t: float):
     """Scaling at t with central differences in t of gamma, lam * gamma and
     L+ under lam(t) = lam0 exp(-t/2); the lower node may sit below t = 0."""
-    if t < 0:
-        raise ValueError("need t >= 0")
-    mid, up, dn = (build(nu, lam0 * np.exp(-s / 2.0)) for s in (t, t + h, t - h))
+    h = _FD_STEP
+    mid = flow_scaling(nu, lam0, t)
+    up, dn = (build(nu, lam0 * np.exp(-s / 2.0)) for s in (t + h, t - h))
     gdot = (up.gamma - dn.gamma) / (2 * h)
     lgdot = (up.lam * up.gamma - dn.lam * dn.gamma) / (2 * h)
     zdot = (up.l_plus - dn.l_plus) / (2 * h)
     return mid, gdot, lgdot, zdot
 
 
-def coefficients(nu: ms.Measure, lam0: float, t: float,
-                 h: float = 1e-5) -> tuple[float, float, float, float]:
+def coefficients(nu: ms.Measure, lam0: float,
+                 t: float) -> tuple[float, float, float, float]:
     """(C2, C3, C0, C0') of the flow expansion at time t.
 
     C2, C3, C0' vanish identically (the cancellation that closes the edge
@@ -99,7 +101,7 @@ def coefficients(nu: ms.Measure, lam0: float, t: float,
     entering C2 is the independent finite difference of L+(t), so the
     vanishing is a genuine numerical statement.
     """
-    mid, gdot, lgdot, zdot = _flow_derivatives(nu, lam0, t, h)
+    mid, gdot, lgdot, zdot = _flow_derivatives(nu, lam0, t)
     g, A, Ap = mid.gamma, mid.A, mid.Ap
     c2 = -lgdot * g**2 * Ap[2] + zdot + 2.0 * gdot * g * A[1]
     bracket = -lgdot * (Ap[3] - A[3] * Ap[4] / A[4]) \

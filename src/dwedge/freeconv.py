@@ -21,7 +21,9 @@ checks the regularity assumption once and solves both roots, and
 support_endpoints and edgescale.build both read it.  solve_grid gives the
 law on an energy grid at a fixed spectral height (solution_to_csv writes
 it, and the solution records its Newton iteration count), and density_at
-its density extrapolated to the real axis.
+its density extrapolated to the real axis.  These and solve_point share
+one Newton solve, at the fixed residual _TOL and step cap _MAX_ITER, that
+refuses a non-finite lam or gamma before its first step.
 
 Regularity check: assumption_margin is the exact minimum over the support
 hull of integral dnu/(v-x)^2, minus lam^2, for the quadrature-node measure
@@ -48,6 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as ms
+
+_TOL = 1e-12  # Newton stops once |m - F(m)| < _TOL at every point,
+_MAX_ITER = 10_000  # or fails after _MAX_ITER steps
+_FIT_WINDOW = (1e-4, 1e-2)  # the kappa range of edge_exponent_fit
 
 
 class IterationError(RuntimeError):
@@ -96,8 +102,11 @@ def _maps(nu, lam, gamma, z, m):
             gamma * gamma * ms.deformed_power(nu, s, omega, 2))
 
 
-def _solve_many(nu, lam, gamma, z, tol, max_iter):
-    """Vectorized Newton solve from m = i; returns m with |m - F(m)| < tol."""
+def _solve_many(nu, lam, gamma, z):
+    """Vectorized Newton solve from m = i; returns m and the steps taken."""
+    for name, val in (("lam", lam), ("gamma", gamma)):
+        if not abs(val) < np.inf:
+            raise ValueError(f"need a finite {name}, got {val}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(z.shape, dtype=complex)
     idx = np.arange(z.size)
@@ -107,7 +116,7 @@ def _solve_many(nu, lam, gamma, z, tol, max_iter):
     r = np.abs(mi - f)
     t = np.ones(zi.shape)
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         # step t * (-G/G') on G(m) = m - F(m); halve t on a candidate that
         # leaves the closed upper half plane or does not lower |G|
         cand = mi - t * (mi - f) / (1.0 - fp)
@@ -117,7 +126,7 @@ def _solve_many(nu, lam, gamma, z, tol, max_iter):
         mi, f, fp, r = (np.where(ok, new, old) for new, old in
                         ((cand, mi), (f_c, f), (fp_c, fp), (r_c, r)))
         t = np.where(ok, np.minimum(1.0, 2.0 * t), 0.5 * t)
-        done = r < tol
+        done = r < _TOL
         if done.any():
             out.ravel()[idx[done]] = mi[done]
             keep = ~done
@@ -127,15 +136,13 @@ def _solve_many(nu, lam, gamma, z, tol, max_iter):
 
     worst = int(np.argmax(r))
     raise IterationError(
-        f"no convergence after {max_iter} iterations (residual {r[worst]:.3e})",
+        f"no convergence after {_MAX_ITER} iterations (residual {r[worst]:.3e})",
         residual=float(r[worst]), index=int(idx[worst]))
 
 
-def solve_point(nu: ms.Measure, lam: float, gamma: float, z,
-                tol: float = 1e-12, max_iter: int = 10_000) -> complex:
+def solve_point(nu: ms.Measure, lam: float, gamma: float, z) -> complex:
     """Solve the self-consistent equation at one spectral point."""
-    zc = ms.as_upper_half(z)
-    out, _ = _solve_many(nu, lam, gamma, np.array([zc]), tol, max_iter)
+    out, _ = _solve_many(nu, lam, gamma, np.array([ms.as_upper_half(z)]))
     return complex(out[0])
 
 
@@ -254,13 +261,12 @@ def support_endpoints(nu: ms.Measure, lam: float) -> tuple[float, float]:
 
 
 def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
-               n: int, eta: float, tol: float = 1e-12,
-               max_iter: int = 10_000) -> FreeConvolutionSolution:
+               n: int, eta: float) -> FreeConvolutionSolution:
     """Solve along linspace(lo, hi, n) + i*eta."""
     if not (lo < hi and n >= 2 and eta > 0):
         raise ValueError("need lo < hi, n >= 2, eta > 0")
     grid = np.linspace(lo, hi, n)
-    m, iterations = _solve_many(nu, lam, gamma, grid + 1j * eta, tol, max_iter)
+    m, iterations = _solve_many(nu, lam, gamma, grid + 1j * eta)
     return FreeConvolutionSolution(nu=nu, lam=lam, gamma=gamma, grid=grid,
                                    m=m, eta=eta, density=m.imag / np.pi,
                                    iterations=iterations)
@@ -274,8 +280,8 @@ def density_at(nu: ms.Measure, lam: float, gamma: float, E, eta: float) -> np.nd
     outside; the two-point combination cancels the leading error both ways.
     """
     E = np.asarray(E, dtype=float)
-    m1, _ = _solve_many(nu, lam, gamma, E + 1j * eta, 1e-12, 10_000)
-    m2, _ = _solve_many(nu, lam, gamma, E + 1j * (eta / 2.0), 1e-12, 10_000)
+    m1, _ = _solve_many(nu, lam, gamma, E + 1j * eta)
+    m2, _ = _solve_many(nu, lam, gamma, E + 1j * (eta / 2.0))
     return ((2.0 * m2.imag - m1.imag) / np.pi).reshape(E.shape)
 
 
@@ -291,16 +297,16 @@ def asymptotic_eplus(nu: ms.Measure, lam0: float) -> float:
         + lam0**4 * (c4 - 9.0 * c2 * c2 / 4.0)
 
 
-def edge_exponent_fit(sol: FreeConvolutionSolution,
-                      lo: float = 1e-4, hi: float = 1e-2) -> tuple[float, float]:
+def edge_exponent_fit(sol: FreeConvolutionSolution) -> tuple[float, float]:
     """(amplitude, exponent) of density ~ amplitude * kappa^exponent at the
-    upper edge, fit by least squares in log-log over kappa in [lo, hi]."""
+    upper edge, fit by least squares in log-log over kappa in _FIT_WINDOW."""
     e_plus = sol.support[1]
     near = np.abs(sol.grid - e_plus) < 0.05
     if np.count_nonzero(near) < 20:
         raise InsufficientPointsError(
             f"only {np.count_nonzero(near)} grid points within 0.05 of the edge")
     kappa = e_plus - sol.grid
+    lo, hi = _FIT_WINDOW
     pick = (kappa >= lo) & (kappa <= hi) & (sol.density > 0)
     if np.count_nonzero(pick) < 5:
         raise InsufficientPointsError("fewer than 5 usable points in the fit window")

@@ -42,6 +42,9 @@ __all__ = [
     "optical_window",
 ]
 
+_HALFWIDTH = 3.0  # optical_window's half-width, in units of N^(-2/3),
+_POINTS = 13  # and its number of spectral points
+
 
 @dataclass(frozen=True)
 class GreenEvaluation:
@@ -77,14 +80,11 @@ def green(h, z) -> GreenEvaluation:
     return GreenEvaluation(z=zc, G=g, m=complex(np.trace(g)) / n)
 
 
-def _potential_values(arr: np.ndarray, lam: float, potential) -> np.ndarray:
-    """The given potential values, checked against N, or diag(H) / lam."""
-    n = arr.shape[0]
-    if potential is None:
-        return np.diag(arr) / lam if lam >= 1e-50 else np.zeros(n)
+def _potential_values(arr: np.ndarray, potential) -> np.ndarray:
+    """The potential values v_i of the sample, checked against N."""
     v = np.asarray(potential, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"potential must have shape ({n},), got {v.shape}")
+    if v.shape != arr.shape[:1]:
+        raise ValueError(f"potential must have shape {arr.shape[:1]}, got {v.shape}")
     return v
 
 
@@ -131,7 +131,7 @@ def verify_identities(h, z, i: int, j: int, k: int) -> dict[str, float]:
 
 
 def local_law_residuals(h, scaling: es.EdgeScaling, z,
-                        potential=None) -> tuple[float, float, float, float]:
+                        potential) -> tuple[float, float, float, float]:
     """Local-law residuals of the rescaled matrix gamma*H at one point.
 
     Returns (r_m, r_offdiag, r_diag, Pi) with
@@ -142,9 +142,8 @@ def local_law_residuals(h, scaling: es.EdgeScaling, z,
         g_i       = 1 / (lam gamma v_i - z - gamma^2 m_fc(z)),
         Pi        = sqrt(im m_fc / (N eta)) + 1 / (N eta),
 
-    where m_fc is the Stieltjes transform of the rescaled deformed law.
-    The potential values v_i are read off the diagonal of H (exact when
-    the noise diagonal is zeroed); pass them explicitly otherwise.
+    where m_fc is the Stieltjes transform of the rescaled deformed law and
+    v_i are the potential values the sample H was drawn with.
     """
     arr = _square_real(h)
     n = arr.shape[0]
@@ -154,7 +153,7 @@ def local_law_residuals(h, scaling: es.EdgeScaling, z,
         raise ValueError(f"eta = {eta:.3e} below the resolution floor N^(-0.99)")
     ev = green(scaling.gamma * arr, zc)
     mhat = fc.solve_point(scaling.nu, scaling.lam, scaling.gamma, zc)
-    v = _potential_values(arr, scaling.lam, potential)
+    v = _potential_values(arr, potential)
     profile = 1.0 / (scaling.lam * scaling.gamma * v - zc - scaling.gamma**2 * mhat)
     pi = math.sqrt(mhat.imag / (n * eta)) + 1.0 / (n * eta)
     r_m = abs(ev.m - mhat) * n * eta
@@ -166,8 +165,7 @@ def local_law_residuals(h, scaling: es.EdgeScaling, z,
 
 
 def optical_window(h, scaling: es.EdgeScaling, eta: float,
-                   halfwidth: float = 3.0, points: int = 13,
-                   potential=None) -> complex:
+                   potential) -> complex:
     """Centered two-resolvent sum rule averaged over an edge window.
 
     For the rescaled matrix gamma*H with resolvent G and m = tr G / N,
@@ -182,8 +180,9 @@ def optical_window(h, scaling: es.EdgeScaling, eta: float,
     cancellation.  The second term, with A_3 = -gamma^-6 < 0, is the sample
     plug-in estimate of minus that offset, so R is centered.
 
-    The result averages R over points values of z with real part within
-    halfwidth * N^(-2/3) of the upper edge, all at the given eta.  Per
+    The result averages R over _POINTS values of z with real part within
+    _HALFWIDTH * N^(-2/3) of the upper edge, all at the given eta, where
+    v_i are the potential values the sample H was drawn with.  Per
     sample it still fluctuates at order one; averages over seeds decay at
     the fluctuation scale, which is what the acceptance diagnostics fit.
     One eigendecomposition serves the whole window, and one real matrix
@@ -195,12 +194,10 @@ def optical_window(h, scaling: es.EdgeScaling, eta: float,
     n = arr.shape[0]
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if points < 1:
-        raise ValueError(f"need at least one window point, got {points}")
-    v = _potential_values(arr, scaling.lam, potential)
+    v = _potential_values(arr, potential)
     mu, vec = scipy.linalg.eigh(scaling.gamma * arr)
     w = (scaling.lam * scaling.gamma * v - scaling.tau) ** (-2.0)
-    z = scaling.l_plus + np.linspace(-halfwidth, halfwidth, points) \
+    z = scaling.l_plus + np.linspace(-_HALFWIDTH, _HALFWIDTH, _POINTS) \
         * n ** (-2.0 / 3.0) + 1j * eta
     r = 1.0 / (mu[:, None] - z)
     r2 = r * r
@@ -208,6 +205,6 @@ def optical_window(h, scaling: es.EdgeScaling, eta: float,
     bracket = (z + scaling.gamma**2 * m - scaling.tau) * r2.mean(axis=0) \
         + (r2 * r).mean(axis=0) / n
     diags = ((vec * vec) @ np.hstack([r, r2]).view(float)).view(complex)
-    gii, d2 = diags[:, :points], diags[:, points:]
+    gii, d2 = diags[:, :_POINTS], diags[:, _POINTS:]
     centered = (gii * gii - w[:, None] * d2 / n).mean(axis=0)
     return complex(np.mean(bracket + centered / (2.0 * scaling.A[3])))

@@ -189,22 +189,15 @@ def law_cdf(law: LimitLaw, s):
 # ---------------------------------------------------------------------------
 # Goodness of fit.
 
-def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance.
-
-    cdf may be a LimitLaw or any callable mapping reals to [0, 1];
-    sup over the sorted samples of max(i/n - F(x_i), F(x_i) - (i-1)/n).
+def ks_statistic(samples, law: LimitLaw) -> float:
+    """One-sample Kolmogorov-Smirnov distance to a limit law: with F its
+    CDF, sup over the sorted samples of max(i/n - F(x_i), F(x_i) - (i-1)/n).
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
-    if isinstance(cdf, LimitLaw):
-        f = law_cdf(cdf, x)
-    else:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            f = np.array([float(cdf(v)) for v in x])
+    f = law_cdf(law, x)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
@@ -389,7 +382,7 @@ def _regime_case(delta: float) -> str:
 
 
 def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
-                n_samples: int, seed: int = 0) -> list[dict]:
+                n_samples: int, seed: int) -> list[dict]:
     """Edge statistics across the coupling-strength trichotomy.
 
     Sets lam0 = sigma0 N^{-delta} per size.  Above the threshold

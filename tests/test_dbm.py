@@ -105,7 +105,7 @@ def test_start_diagonal_carries_the_coupling():
 
 def test_edge_track_zero_coupling_is_stationary_window():
     spec = two_atom_spec(100, lam0=0.0)
-    series = dbm.flow_edge_track(spec, [0.0, 1.0, 2.0], 0.0, stream(15, "track0"))
+    series = dbm.flow_edge_track(spec, [0.0, 1.0, 2.0], stream(15, "track0"))
     assert [t for t, _ in series] == [0.0, 1.0, 2.0]
     for _, m in series:
         assert m.imag > 0
@@ -114,16 +114,23 @@ def test_edge_track_zero_coupling_is_stationary_window():
 
 def test_edge_track_deformed_runs_and_validates():
     spec = two_atom_spec(100)
-    series = dbm.flow_edge_track(spec, [0.0, 0.5], 0.0, stream(16, "track1"))
+    series = dbm.flow_edge_track(spec, [0.0, 0.5], stream(16, "track1"))
     assert len(series) == 2 and all(m.imag > 0 for _, m in series)
     with pytest.raises(ValueError):
-        dbm.flow_edge_track(spec, [1.0, 0.5], 0.0, stream(16, "track2"))
+        dbm.flow_edge_track(spec, [1.0, 0.5], stream(16, "track2"))
     with pytest.raises(ValueError):
-        dbm.flow_edge_track(spec, [], 0.0, stream(16, "track3"))
+        dbm.flow_edge_track(spec, [], stream(16, "track3"))
     with pytest.raises(ValueError):
-        dbm.flow_edge_track(spec, [0.0], 1.0, stream(16, "track4"))
-    with pytest.raises(ValueError):
-        dbm.flow_edge_track(spec, [-1.0, 0.0], 0.0, stream(16, "track5"))
+        dbm.flow_edge_track(spec, [-1.0, 0.0], stream(16, "track5"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_flow_refuses_a_non_finite_time(bad):
+    # NaN compares False both ways, so each check must fail on False
+    with pytest.raises(ValueError, match="times must be finite"):
+        dbm.flow_times([0.0, bad])
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        dbm.goe_invariance_check(10, bad, 2, stream(21, "goebad"))
 
 
 # ------------------------------------------------------- distributions

@@ -114,6 +114,15 @@ def test_flow_scaling_limits():
         es.flow_scaling(vh, 0.5, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at_time", [es.flow_scaling, es.coefficients])
+def test_flow_refuses_a_non_finite_time(at_time, bad):
+    # the error names the time: lam0 e^(-t/2) is NaN or 0 for these, and
+    # build would either blame lam or return the semicircle
+    with pytest.raises(ValueError, match="finite time t"):
+        at_time(TWO, 0.5, bad)
+
+
 def test_coefficients_zero_coupling():
     assert es.coefficients(TWO, 0.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
 

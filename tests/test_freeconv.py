@@ -43,29 +43,32 @@ def test_two_atom_against_high_precision_iteration():
     assert m == pytest.approx(0.399422549243260174j, abs=1e-12)
 
 
-def test_residual_below_tolerance():
+def test_residual_below_tolerance(monkeypatch):
+    monkeypatch.setattr(fc, "_TOL", 1e-13)
     for z in (2j, 0.3 + 1e-6j, 2.2018 + 1e-7j):
-        m = fc.solve_point(TWO, 0.5, 1.0, z, tol=1e-13)
+        m = fc.solve_point(TWO, 0.5, 1.0, z)
         f = m_map = complex(fc._maps(TWO, 0.5, 1.0, np.array([z]), np.array([m]))[0][0])
         assert abs(m - f) < 1e-13
 
 
-def test_iteration_error_carries_residual():
+def test_iteration_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(fc, "_MAX_ITER", 3)
     with pytest.raises(fc.IterationError) as exc:
-        fc.solve_point(D0, 0.0, 1.0, 2.0 + 1e-9j, tol=1e-12, max_iter=3)
+        fc.solve_point(D0, 0.0, 1.0, 2.0 + 1e-9j)
     assert exc.value.residual > 0
 
 
-def test_solve_grid_error_index_is_global():
+def test_solve_grid_error_index_is_global(monkeypatch):
     # the reported index is the global one, so that point fails on its own
     # too, at the same iteration budget
+    monkeypatch.setattr(fc, "_MAX_ITER", 6)
     grid = np.linspace(-1.0, 2.5, 1001)
     with pytest.raises(fc.IterationError) as exc:
-        fc.solve_grid(D0, 0.0, 1.0, -1.0, 2.5, grid.size, 1e-9, max_iter=6)
+        fc.solve_grid(D0, 0.0, 1.0, -1.0, 2.5, grid.size, 1e-9)
     k = exc.value.index
     assert 256 < k < grid.size
     with pytest.raises(fc.IterationError):
-        fc.solve_point(D0, 0.0, 1.0, complex(grid[k], 1e-9), max_iter=6)
+        fc.solve_point(D0, 0.0, 1.0, complex(grid[k], 1e-9))
 
 
 def test_solve_grid_semicircle_density():
@@ -261,6 +264,20 @@ def test_coupling_range_checks_refuse_nan_and_inf(bad):
         fc.support_endpoints(TWO, bad)
     with pytest.raises(ValueError, match="finite lam0 >= 0"):
         fc.asymptotic_eplus(TWO, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lam", "gamma"])
+@pytest.mark.parametrize("solve", [
+    lambda lam, gamma: fc.solve_point(TWO, lam, gamma, 1.0 + 1e-3j),
+    lambda lam, gamma: fc.solve_grid(TWO, lam, gamma, -3.0, 3.0, 11, 1e-3),
+    lambda lam, gamma: fc.density_at(TWO, lam, gamma, [0.0, 1.0], 1e-3),
+], ids=["solve_point", "solve_grid", "density_at"])
+def test_newton_solves_refuse_a_non_finite_coupling(solve, name, bad):
+    # a bad coupling is a config error, caught before the first Newton step,
+    # not a numerical failure reported after the last one
+    with pytest.raises(ValueError, match=f"finite {name}"):
+        solve(**{"lam": 0.5, "gamma": 1.0, name: bad})
 
 
 def test_asymptotic_eplus_error_is_fifth_order():
