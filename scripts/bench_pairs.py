@@ -10,15 +10,21 @@ ones, and reads the run's bench/.work/W-seedS-trace0/result.json.  S must be
 a program seed (0-31), the directory name run.py gives the run.  The output
 keeps the machine block of the first run, and per workload and side the
 commit, source digest, every run's end-to-end metrics and failure count,
-and each metric's median and quartiles; per metric it counts the pairs the
-change won, in the direction BENCHMARK.json declares.  An existing output
-file gains or replaces only the workloads of this call.
+and each metric's median and quartiles.  Per metric, in the direction
+BENCHMARK.json declares, it counts the pairs the change won, says whether
+every change run beat every parent run, and gives the median of the
+per-pair change/parent ratios with its distribution-free sign-test
+interval: the order statistics r_(k) and r_(n+1-k) of the n sorted ratios
+for the largest k with coverage 1 - 2 P(Binomial(n, 1/2) < k) >= 0.95,
+recorded with that coverage (none below 6 pairs).  An existing output file
+gains or replaces only the workloads of this call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -53,6 +59,21 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def ratio_interval(ratios: list[float]) -> dict:
+    """Median of the per-pair ratios and its 95% sign-test interval."""
+    r, n = sorted(ratios), len(ratios)
+    below = 0.0  # P(Binomial(n, 1/2) < k) for the current k
+    k = 0
+    while 1.0 - 2.0 * (below + math.comb(n, k) / 2.0 ** n) >= 0.95:
+        below += math.comb(n, k) / 2.0 ** n
+        k += 1
+    out = {"median": statistics.median(r), "interval": None, "coverage": None}
+    if k:
+        out["interval"] = [r[k - 1], r[n - k]]
+        out["coverage"] = 1.0 - 2.0 * below
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -79,17 +100,21 @@ def main(argv=None) -> int:
                   f"{runs['change'][-1]['metrics']['samples_per_s']:.4g}",
                   flush=True)
         record.setdefault("machine", runs["parent"][0]["machine"])
-        wins = {}
+        wins, beats_all, ratios = {}, {}, {}
         for name, sense in better.items():
             sign = 1.0 if sense == "higher" else -1.0
-            wins[name] = sum(
-                sign * (c["metrics"][name] - p["metrics"][name]) > 0
-                for p, c in zip(runs["parent"], runs["change"]))
+            par = [p["metrics"][name] for p in runs["parent"]]
+            chg = [c["metrics"][name] for c in runs["change"]]
+            wins[name] = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+            beats_all[name] = min(sign * c for c in chg) > max(sign * p for p in par)
+            ratios[name] = ratio_interval([c / p for p, c in zip(par, chg)])
         record.setdefault("workloads", {})[workload] = {
             "seed": args.seed, "pairs": args.pairs,
             "parent": summary(runs["parent"]),
             "change": summary(runs["change"]),
             "change_wins": wins,
+            "change_beats_every_parent_run": beats_all,
+            "ratio": ratios,
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

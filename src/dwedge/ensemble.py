@@ -153,8 +153,8 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
     """One draw of lam0 e^{-t/2} V + e^{-t/2} W + (1 - e^{-t})^{1/2} W_goe,
     the fixed-time law of the Ornstein-Uhlenbeck matrix flow started from
     the deformed ensemble; the GOE part always has a zero diagonal."""
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"need a finite t >= 0, got {t}")
     h, _ = sample_deformed(spec, rng)
     decay = np.exp(-t / 2.0)
     goe = sample_wigner(spec.N, GAUSSIAN, 1.0, rng, zero_diagonal=True)

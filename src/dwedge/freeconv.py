@@ -18,12 +18,20 @@ fixed point at the complex pole p = z + gamma^2 m with s = lam gamma (n = 1
 for the map, n = 2 for its derivative), the edge at the real pole p = theta
 with s = lam.  _edge_roots is the one place that edge data is computed: it
 checks the regularity assumption once and solves both roots, and
-support_endpoints and edgescale.build both read it.  solve_grid gives the
-law on an energy grid at a fixed spectral height (solution_to_csv writes
-it, and the solution records its Newton iteration count), and density_at
-its density extrapolated to the real axis.  These and solve_point share
-one Newton solve, at the fixed residual _TOL and step cap _MAX_ITER, that
-refuses a non-finite lam or gamma before its first step.
+support_endpoints and edgescale.build both read it.  phi(theta) = integral
+dnu/(lam v - theta)^2 falls monotonically away from the support, and
+phi^(-1/2), a power mean of the distances |lam v - theta|, is concave and
+nearly linear there, so Newton on phi^(-1/2) = 1 climbs to the root from
+the support side.  Each step reads phi and phi' in one pass over the
+quadrature nodes of nu; a step out of the bracket [edge + 1e-12, edge +
+10 + 10 lam] (phi is infinite at an atom on the edge) bisects it, and the
+solve stops after a step of at most 1e-15 + 4 eps |theta|.  solve_grid
+gives the law on an energy grid at a fixed spectral height
+(solution_to_csv writes it, and the solution records its Newton iteration
+count), and density_at its density extrapolated to the real axis.  These
+and solve_point share one Newton solve, at the fixed residual _TOL and
+step cap _MAX_ITER, that refuses a non-finite lam or gamma before its
+first step.
 
 Regularity check: assumption_margin is the exact minimum over the support
 hull of integral dnu/(v-x)^2, minus lam^2, for the quadrature-node measure
@@ -150,13 +158,14 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
     """(theta_minus, theta_plus, E_minus, E_plus) for the gamma = 1 law."""
     if lam < 1e-50:
         return -1.0, 1.0, -2.0, 2.0
-    # imported on use: loading scipy.optimize ahead of measure's
-    # scipy.special made `import dwedge.cli` about 0.1 s slower
-    from scipy.optimize import brentq
+    xq, wq = ms._quad_nodes(nu)
+    sx = lam * xq
 
     def phi(theta):
-        # integral dnu / (lam v - theta)^2, real theta outside lam * support
-        return ms.deformed_power(nu, lam, theta, 2)
+        # integral dnu / (lam v - theta)^2 and its theta-derivative, one pass
+        inv = 1.0 / (sx - theta)
+        inv2 = inv * inv
+        return float(wq @ inv2), 2.0 * float(wq @ (inv2 * inv))
 
     vmin, vmax = ms.support_interval(nu)
     out = []
@@ -164,13 +173,24 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
         edge = lam * (vmax if side > 0 else vmin)
         near = edge + side * 1e-12
         far = edge + side * (10.0 + 10.0 * lam)
-        if not phi(near) > 1.0:
+        f, fp = phi(near)
+        if not f > 1.0:
             raise AssumptionViolatedError(
                 f"no edge root above {edge:.6g}: the deformation is too strong "
                 "for a square-root edge on this side")
-        # phi decreases monotonically away from the support, so the bracket
-        # holds exactly one root of phi = 1
-        theta = brentq(lambda th: phi(th) - 1.0, *sorted((near, far)), xtol=1e-15)
+        theta = near
+        for _ in range(100):
+            # Newton on phi^(-1/2) = 1 inside [near, far], else bisection
+            near, far = (theta, far) if f > 1.0 else (near, theta)
+            step = 2.0 * f * (1.0 - f ** 0.5) / fp
+            theta += step
+            if abs(step) <= 1e-15 + 4.0 * np.finfo(float).eps * abs(theta):
+                break
+            if not min(near, far) < theta < max(near, far):
+                theta = 0.5 * (near + far)
+            f, fp = phi(theta)
+        else:
+            raise IterationError("no edge root after 100 Newton steps", abs(f - 1.0))
         mval = ms.deformed_power(nu, lam, theta, 1)
         out.append((theta, theta - mval))
     (th_p, e_p), (th_m, e_m) = out

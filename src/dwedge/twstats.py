@@ -10,7 +10,9 @@ oracle (scripts/gen_tw_oracle.py) pins the result in tests/data/tw_oracle.json.
 
 Limit laws cache a CDF table on [-10, 6] at step 0.01 and evaluate by
 interpolation; the Tracy-Widom plus Gaussian mixture is a 64-node
-Gauss-Hermite convolution of the table.
+Gauss-Hermite convolution of the table.  The Painleve table is the only
+user of scipy.integrate, which it imports on first use, so a process that
+never evaluates a Tracy-Widom CDF never loads it.
 
 The edge harness rescales every sample with constants recomputed from the
 realized potential, which is what makes finite-N fits tight; see mc_edge.
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.special import airy, ndtr
 
 from . import edgescale as es
@@ -75,6 +77,7 @@ def _painleve():
     -8.3; both CDFs are below 1e-8 there, so values further left are
     pinned to zero (well inside the 1e-6 accuracy contract).
     """
+    from scipy.integrate import solve_ivp  # here, so only a TW table loads it
     ai0, aip0, _, _ = airy(_S_RIGHT)
     x, w = np.polynomial.legendre.leggauss(64)
     half = 0.5 * (_S_TAIL - _S_RIGHT)
@@ -228,7 +231,9 @@ def classical_locations(solution: fc.FreeConvolutionSolution, N: int,
     occupied = np.flatnonzero(dens > 1e-4 * peak)
     if not np.all(dens[occupied[0]:occupied[-1] + 1] > 1e-4 * peak):
         raise ValueError("multi-cut support: classical locations undefined")
-    cum = cumulative_trapezoid(dens, grid, initial=0.0)
+    # scipy's cumulative_trapezoid(dens, grid, initial=0), term for term
+    cum = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (dens[1:] + dens[:-1]) / 2.0)))
     tail = cum[-1] - cum
     targets = (np.asarray(ks, dtype=float) - 0.5) / N
     # tail is nonincreasing in grid; invert on the reversed arrays
@@ -331,8 +336,8 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
         raise ValueError("need n_samples >= 1")
     if not 1 <= top_k <= spec.N:
         raise ValueError(f"need 1 <= top_k <= N = {spec.N}")
-    if parallel < 1:
-        raise ValueError("need parallel >= 1")
+    if not (isinstance(parallel, numbers.Integral) and parallel >= 1):
+        raise ValueError(f"need an integer parallel >= 1, got {parallel!r}")
     t0 = time.perf_counter()
     n23 = spec.N ** (2.0 / 3.0)
     fixed_sc = None

@@ -7,6 +7,10 @@ semicircle doubles as the smallest full-pipeline integration test.
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -472,3 +476,32 @@ def test_parser_flags_match_defaults(name, capsys):
     cfg = cli._resolve(defaults, cli._build_parser().parse_args(argv))
     for key, value in expected.items():
         assert cfg[key] == value != defaults[key], key
+
+
+# ---------------------------------------------------------------------------
+# Start-up: the import closure of the CLI.
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import dwedge.cli
+from dwedge import edgescale as es, freeconv as fc, measure as ms, twstats as tw
+es.build(ms.empirical_from_values(np.linspace(-1.0, 1.0, 500)), 0.5)
+sol = fc.solve_grid(ms.Atomic([0.0], [1.0]), 0.0, 1.0, -2.05, 2.05, 201, 1e-7)
+tw.classical_locations(sol, 100, [1, 2])
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse")
+             if m in sys.modules))
+tw.law_cdf(tw.LimitLaw(tw.TW1), 0.0)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_start_up_loads_scipy_integrate_only_for_a_tw_table():
+    # every command is a fresh process, so each scipy subpackage the import
+    # pulls in is paid on every run; the Painleve table is the one lazy load
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "True"]

@@ -286,6 +286,9 @@ def test_spec_validation():
         en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed([0.0] * 4), law="cauchy")
     with pytest.raises(ValueError):
         en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed([0.0] * 4), c2=-2.0)
+    for t in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite t"):
+            en.sample_interpolated(two_atom_spec(n=4), t, stream(0, "t"))
 
 
 @pytest.mark.parametrize("field,kwargs", [

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dwedge.freeconv as fc
 import dwedge.measure as ms
+from dwedge.rngstream import stream
 
 D0 = ms.Atomic(np.array([0.0]), np.array([1.0]))
 TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -233,6 +234,42 @@ def test_near_critical_coupling(lam):
     assert np.all(np.isfinite(sol.m))
     assert np.all(sol.m.imag >= 0)
     assert np.trapezoid(sol.density, sol.grid) == pytest.approx(1.0, abs=1e-4)
+
+
+def _brentq_roots(nu, lam):
+    """_outer_roots' root of integral dnu/(lam v - theta)^2 = 1 on each side,
+    solved on the same bracket by scipy's brentq."""
+    from scipy.optimize import brentq
+
+    vmin, vmax = ms.support_interval(nu)
+    out = []
+    for side, v in ((-1, vmin), (+1, vmax)):
+        near, far = lam * v + side * 1e-12, lam * v + side * (10.0 + 10.0 * lam)
+        theta = brentq(lambda th: ms.deformed_power(nu, lam, th, 2) - 1.0,
+                       *sorted((near, far)), xtol=1e-15)
+        out.append((theta, theta - ms.deformed_power(nu, lam, theta, 1)))
+    (th_m, e_m), (th_p, e_p) = out
+    return th_m, th_p, e_m, e_p
+
+
+def _oracle_cases():
+    cases = [(TWO, 0.5), (TWO, 0.99), (ms.Jacobi(1.0, 1.0), 1.0)]
+    cases += [(ms.Jacobi(2.0, 2.0), lam)
+              for lam in (0.5, 1.5, 1.57, 1.578, 1.5805)]
+    for j in range(20):
+        rng = stream(j, "edge-root-oracle")
+        cases.append((ms.empirical_from_values(rng.uniform(-1.0, 1.0, 500)),
+                      float(rng.uniform(0.0, 1.2))))
+    return cases
+
+
+def test_edge_roots_match_brentq():
+    # the safeguarded Newton root against scipy's bracketing solver, up to
+    # the near-critical couplings of Jacobi(2, 2) (node critical 1.58090)
+    for nu, lam in _oracle_cases():
+        got, want = fc._outer_roots(nu, lam), _brentq_roots(nu, lam)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4e-15 * abs(w), (nu, lam)
 
 
 def test_past_critical_coupling_violates_assumption():

@@ -229,6 +229,12 @@ def test_classical_locations_match_dense_inversion():
         target = cum[-1] - (k - 0.5) / n
         ref = float(np.interp(target, cum, dense.grid))
         assert g == pytest.approx(ref, abs=1e-4)
+    # the numpy trapezoid in classical_locations is scipy's, bit for bit
+    cum = cumulative_trapezoid(np.maximum(coarse.density, 0.0), coarse.grid,
+                               initial=0.0)
+    tail = cum[-1] - cum
+    exact = np.interp((np.asarray(ks) - 0.5) / n, tail[::-1], coarse.grid[::-1])
+    assert got == [float(v) for v in exact]
 
 
 def test_classical_locations_rejects_multicut():
@@ -374,8 +380,10 @@ def test_mc_edge_validation():
         tw.mc_edge(spec, 0)
     with pytest.raises(ValueError):
         tw.mc_edge(spec, 5, top_k=0)
-    with pytest.raises(ValueError):
-        tw.mc_edge(spec, 5, parallel=0)
+    for bad in (0, 1.5, float("nan")):
+        # a NaN worker count would start no thread and wait for ever
+        with pytest.raises(ValueError, match="parallel"):
+            tw.mc_edge(spec, 5, parallel=bad)
     with pytest.raises(ValueError):
         tw.MCRunResult(spec=spec, n_samples=3, samples=np.zeros(2),
                        e_plus=np.zeros(2), gamma0=np.ones(2), ks=0.1,
