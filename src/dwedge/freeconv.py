@@ -171,7 +171,7 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
     out = []
     for side in (+1, -1):
         edge = lam * (vmax if side > 0 else vmin)
-        near = edge + side * 1e-12
+        near = edge + side * 1e-12 * max(1.0, abs(edge))
         far = edge + side * (10.0 + 10.0 * lam)
         f, fp = phi(near)
         if not f > 1.0:

@@ -482,26 +482,38 @@ def test_parser_flags_match_defaults(name, capsys):
 # Start-up: the import closure of the CLI.
 
 _IMPORT_PROBE = """
-import sys
+import contextlib, io, os, sys
 import numpy as np
-import dwedge.cli
+import dwedge.cli as cli
 from dwedge import edgescale as es, freeconv as fc, measure as ms, twstats as tw
+
+def unwanted():
+    print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse")
+                 if m in sys.modules))
+
 es.build(ms.empirical_from_values(np.linspace(-1.0, 1.0, 500)), 0.5)
 sol = fc.solve_grid(ms.Atomic([0.0], [1.0]), 0.0, 1.0, -2.05, 2.05, 201, 1e-7)
 tw.classical_locations(sol, 100, [1, 2])
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse")
-             if m in sys.modules))
+unwanted()
 tw.law_cdf(tw.LimitLaw(tw.TW1), 0.0)
-print("scipy.integrate" in sys.modules)
+tw.law_cdf(tw.LimitLaw(tw.TW2), 0.0)
+tw.tw_cdf(1, 0.0)
+unwanted()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["mc-edge", "--N", "20", "--n", "3"],
+                 ["regime", "--sizes", "20", "--n", "3"],
+                 ["tw-table", "--step", "0.5"]):
+        assert cli.main(argv + ["--out", os.path.join(sys.argv[1], argv[0])]) == 0
+unwanted()
 """
 
 
-def test_start_up_loads_scipy_integrate_only_for_a_tw_table():
+def test_start_up_never_loads_scipy_integrate(tmp_path):
     # every command is a fresh process, so each scipy subpackage the import
-    # pulls in is paid on every run; the Painleve table is the one lazy load
+    # pulls in is paid on every run; the Painleve table steps its own RK4
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], check=True,
-                         capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                         check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "True"]
+    assert out.stdout.splitlines() == ["[]", "[]", "[]"]

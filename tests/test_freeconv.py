@@ -9,6 +9,7 @@ Frozen values and their independent routes:
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_edge_roots_match_brentq():
         got, want = fc._outer_roots(nu, lam), _brentq_roots(nu, lam)
         for g, w in zip(got, want):
             assert abs(g - w) <= 4e-15 * abs(w), (nu, lam)
+
+
+def test_edge_roots_far_from_zero_start_off_the_atoms():
+    # an absolute start offset of 1e-12 would round to the edge once |edge|
+    # is about 1e4, and the first phi evaluation would divide by zero
+    nu = ms.Atomic([1e5, 1e5 + 1.0], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        th_m, th_p, _, _ = fc._outer_roots(nu, 1.0)
+    assert th_m < 1e5 and th_p > 1e5 + 1.0
+    for theta in (th_m, th_p):
+        assert ms.deformed_power(nu, 1.0, theta, 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_past_critical_coupling_violates_assumption():

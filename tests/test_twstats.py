@@ -32,6 +32,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.special import airy
 
 from dwedge import edgescale as es
 from dwedge import ensemble as ens
@@ -74,6 +75,35 @@ def test_tw_cdf_out_of_range_clamps_with_warning():
 def test_tw_cdf_rejects_bad_beta():
     with pytest.raises(ValueError):
         tw.tw_cdf(3, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tw_cdf_rejects_non_finite_s(bad):
+    # NaN fails every comparison, so no range test catches it
+    with pytest.raises(ValueError, match="finite s"):
+        tw.tw_cdf(1, bad)
+
+
+def _fredholm_pair(s: float) -> tuple[float, float]:
+    """(F1, F2) = (det(I - B), det(I - B) det(I + B)) with the kernel
+    B(x, y) = Ai(x + y + s) on (0, inf) (Ferrari and Spohn, J. Phys. A 38
+    (2005) L557), by 50-node Gauss-Legendre Nystrom on [0, 16]."""
+    m = 50
+    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = 8.0 * (x + 1.0), 8.0 * w
+    sw = np.sqrt(w)
+    b = airy(x[:, None] + x[None, :] + s)[0] * sw[:, None] * sw[None, :]
+    minus = np.linalg.det(np.eye(m) - b)
+    return float(minus), float(minus * np.linalg.det(np.eye(m) + b))
+
+
+def test_tw_tables_match_fredholm_determinant():
+    # a route independent of Painleve II; 40 and 80 nodes agree to 2e-14
+    idx = np.flatnonzero(tw._GRID >= -8.3)[::20]
+    want = np.array([_fredholm_pair(float(s)) for s in tw._GRID[idx]])
+    for col, variant in enumerate((tw.TW1, tw.TW2)):
+        err = np.abs(tw._law_table(variant, 0.0)[idx] - want[:, col])
+        assert err.max() <= 5e-10, variant
 
 
 def _table_moments(table: np.ndarray) -> tuple[float, float]:
@@ -188,6 +218,13 @@ def test_ks_scale_consistency_exact():
 def test_ks_rejects_empty():
     with pytest.raises(ValueError):
         tw.ks_statistic([], tw.LimitLaw(tw.TW1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    # one NaN sample would make the distance NaN
+    with pytest.raises(ValueError, match="finite"):
+        tw.ks_statistic([0.0, bad, 1.0], tw.LimitLaw(tw.TW1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +351,19 @@ def test_rigidity_validates_k_max():
         tw.rigidity_report(spec, 5, 51)
     with pytest.raises(ValueError):
         tw.rigidity_report(spec, 0, 10)
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, math.nan])
+@pytest.mark.parametrize("run", ["mc_edge", "rigidity_report", "regime_test"])
+def test_sample_count_must_be_a_positive_integer(run, bad):
+    # NaN is not < 1, so a plain range test lets it through to range()
+    spec = ens.EnsembleSpec(N=50, lam0=0.0, potential=ens.Fixed(np.zeros(50)),
+                            seed=1)
+    calls = {"mc_edge": lambda: tw.mc_edge(spec, bad),
+             "rigidity_report": lambda: tw.rigidity_report(spec, bad, 2),
+             "regime_test": lambda: tw.regime_test(TWO, 1.0, 0.2, [50], bad, 0)}
+    with pytest.raises(ValueError, match="n_samples"):
+        calls[run]()
 
 
 # ---------------------------------------------------------------------------
