@@ -451,7 +451,9 @@ def cmd_tw_table(cfg: dict) -> int:
     lo, hi, step = float(cfg["lo"]), float(cfg["hi"]), float(cfg["step"])
     if not (lo < hi and step > 0):
         raise ConfigError("tw-table: need lo < hi and step > 0")
-    grid = np.arange(lo, hi + step / 2.0, step)
+    # only arange's last point can pass hi: by rounding, or by a step that
+    # does not divide hi - lo
+    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
     lines = ["s,F1,F2"]
     for s in grid:
         lines.append(f"{float(s)!r},{tw.tw_cdf(1, float(s))!r},"

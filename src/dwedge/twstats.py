@@ -9,8 +9,8 @@ a fixed-step classical RK4 (h = 0.0025) in plain floats, so no part of the
 package loads scipy.integrate; F_1 and F_2 are stored on its lattice and
 read by linear interpolation, within 2.6e-7 of the exact CDFs and within
 2.0e-10 at the nodes.  The Airy initial data comes from scipy.special.airy.
-An independent Fredholm-determinant oracle (scripts/gen_tw_oracle.py) pins
-the result in tests/data/tw_oracle.json.
+The tests pin the result against an independent Ferrari-Spohn Fredholm
+determinant, which agrees to 2e-10 at the points they check.
 
 tw_cdf reads the lattice directly.  Limit laws cache a CDF table read from
 the same lattice on [-10, 6] at step 0.01 and evaluate by interpolation;
@@ -145,8 +145,8 @@ def tw_cdf(beta: int, s: float) -> float:
     """Tracy-Widom CDF F_beta(s) for beta in {1, 2}.
 
     Out-of-range s is clamped to [-10, 6] with a warning and a non-finite
-    s is refused; within range the absolute accuracy is about 1e-6 (the
-    Fredholm oracle agrees to 8e-9 at its checked points).
+    s is refused; within range the absolute accuracy is about 1e-6 (a
+    Fredholm determinant agrees to 2e-10 at the checked points).
     """
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")

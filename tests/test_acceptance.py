@@ -19,8 +19,6 @@ from their own law, i.e. by a poor fit.  The test therefore also asserts
 gate < D(own, alt) for every rejection clause.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -35,10 +33,10 @@ from dwedge import measure as ms
 from dwedge import resolvent as rv
 from dwedge import rngstream
 from dwedge import twstats as tw
+from tw_reference import (POINTS, TW1_MEAN, TW1_VAR, fredholm_pair,
+                          table_moments)
 
 TWO = ms.Atomic(locations=(-1.0, 1.0), weights=(0.5, 0.5))
-ORACLE = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "tw_oracle.json").read_text())
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -331,20 +329,14 @@ def test_criterion_11_rigidity():
 
 def test_criterion_12_tw_evaluation():
     t0 = time.time()
-    worst = 0.0
-    for beta, key in ((1, "F1"), (2, "F2")):
-        for s_str, ref in ORACLE[key].items():
-            worst = max(worst, abs(tw.tw_cdf(beta, float(s_str)) - ref))
-    table = tw._law_table(tw.TW1, 0.0)
-    grid = tw._GRID
-    pdf = np.gradient(table, grid)
-    mean = float(np.trapezoid(grid * pdf, grid))
-    sd = float(np.sqrt(np.trapezoid((grid - mean) ** 2 * pdf, grid)))
-    dm = abs(mean - ORACLE["TW1"]["mean"])
-    dsd = abs(sd - np.sqrt(ORACLE["TW1"]["var"]))
+    worst = max(abs(tw.tw_cdf(beta, s) - f) for s in POINTS
+                for beta, f in zip((1, 2), fredholm_pair(s)))
+    mean, var = table_moments(tw._GRID, tw._law_table(tw.TW1, 0.0))
+    dm = abs(mean - TW1_MEAN)
+    dsd = abs(np.sqrt(var) - np.sqrt(TW1_VAR))
     el = time.time() - t0
     ok = worst <= 1e-5 and dm <= 1e-3 and dsd <= 1e-3 and el < 60.0
-    _line(12, ok, f"Painleve vs Fredholm oracle max diff {worst:.2e} "
+    _line(12, ok, f"Painleve vs Fredholm determinant max diff {worst:.2e} "
                   f"(gate 1e-5); TW1 mean/sd off by {dm:.2e}/{dsd:.2e} "
                   f"(gate 1e-3), {el:.1f}s")
     assert worst <= 1e-5

@@ -425,6 +425,18 @@ def test_tw_table_stdout(capsys):
     assert len(lines) == 3
 
 
+def test_tw_table_grid_stays_in_range(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the out-of-range clamp warns
+        assert run("tw-table") == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 321
+    assert rows[-1].split(",")[0] == "6.0"
+    assert run("tw-table", "--step", "0.7") == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(last.split(",")[0]) <= 6.0
+
+
 def test_tw_table_bad_range_exits_2(capsys):
     assert run("tw-table", "--lo", "5", "--hi", "-5") == 2
 

@@ -1,13 +1,14 @@
 """Tracy-Widom evaluation, limit laws, rigidity, and the MC edge harness.
 
-The Painleve route is pinned by the Fredholm-determinant oracle in
-tests/data/tw_oracle.json (regenerate with scripts/gen_tw_oracle.py); the
-two independent routes agree to about 1e-8 at the checked points, far
+The Painleve route is pinned by the Ferrari-Spohn Fredholm determinant in
+tests/tw_reference.py, which shares no code with it and agrees with
+itself to 1e-13 between 40 and 80 nodes and between the windows [0, 16]
+and [0, 20]; the table is within 2e-10 of it at the checked points, far
 inside the 1e-5 gate.  Both take their Airy values from scipy.special,
-so the oracle comparison, not a separate Airy test, covers the Painleve
-initial data.  One deliberate reading: the far-right-tail check
+so the determinant comparison, not a separate Airy test, covers the
+Painleve initial data.  One deliberate reading: the far-right-tail check
 at s = 6 uses 3e-6 for F1 because the true tail there is 1.94e-6 (the
-stated 1e-6 describes the evaluation accuracy, which the oracle
+stated 1e-6 describes the evaluation accuracy, which the determinant
 comparison covers, not the distance of F1(6) from 1).
 
 Monte Carlo runs compare against Tracy-Widom-family laws, so the
@@ -26,13 +27,10 @@ noise.  Pilot KS values: 0.066 (mc_edge, N=300 seed 31), 0.082/0.077/
 maxed at 1.2 across the pilot grid against the gate of 3.
 """
 
-import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
-from scipy.special import airy
 
 from dwedge import edgescale as es
 from dwedge import ensemble as ens
@@ -40,20 +38,29 @@ from dwedge import freeconv as fc
 from dwedge import measure as ms
 from dwedge import rngstream
 from dwedge import twstats as tw
+from tw_reference import (POINTS, TW1_MEAN, TW1_VAR, TW2_MEAN, TW2_VAR,
+                          fredholm_pair, table_moments)
 
 TWO = ms.Atomic(locations=(-1.0, 1.0), weights=(0.5, 0.5))
 DELTA0 = ms.Atomic(locations=(0.0,), weights=(1.0,))
-ORACLE = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "tw_oracle.json").read_text())
 
 
 # ---------------------------------------------------------------------------
-# Tracy-Widom CDFs against the Fredholm oracle.
+# Tracy-Widom CDFs against the Fredholm determinant.
 
 def test_tw_cdf_matches_fredholm_oracle():
-    for s in ORACLE["points"]:
-        assert tw.tw_cdf(1, s) == pytest.approx(ORACLE["F1"][str(s)], abs=1e-5)
-        assert tw.tw_cdf(2, s) == pytest.approx(ORACLE["F2"][str(s)], abs=1e-5)
+    for s in POINTS:
+        f1, f2 = fredholm_pair(s)
+        assert tw.tw_cdf(1, s) == pytest.approx(f1, abs=1e-5)
+        assert tw.tw_cdf(2, s) == pytest.approx(f2, abs=1e-5)
+
+
+def test_fredholm_reference_is_converged():
+    for s in POINTS:
+        assert fredholm_pair(s, nodes=40) == pytest.approx(
+            fredholm_pair(s, nodes=80), abs=1e-13)
+        assert fredholm_pair(s, window=16.0) == pytest.approx(
+            fredholm_pair(s, window=20.0), abs=1e-13)
 
 
 def test_tw_cdf_tails():
@@ -84,49 +91,24 @@ def test_tw_cdf_rejects_non_finite_s(bad):
         tw.tw_cdf(1, bad)
 
 
-def _fredholm_pair(s: float) -> tuple[float, float]:
-    """(F1, F2) = (det(I - B), det(I - B) det(I + B)) with the kernel
-    B(x, y) = Ai(x + y + s) on (0, inf) (Ferrari and Spohn, J. Phys. A 38
-    (2005) L557), by 50-node Gauss-Legendre Nystrom on [0, 16]."""
-    m = 50
-    x, w = np.polynomial.legendre.leggauss(m)
-    x, w = 8.0 * (x + 1.0), 8.0 * w
-    sw = np.sqrt(w)
-    b = airy(x[:, None] + x[None, :] + s)[0] * sw[:, None] * sw[None, :]
-    minus = np.linalg.det(np.eye(m) - b)
-    return float(minus), float(minus * np.linalg.det(np.eye(m) + b))
-
-
 def test_tw_tables_match_fredholm_determinant():
-    # a route independent of Painleve II; 40 and 80 nodes agree to 2e-14
     idx = np.flatnonzero(tw._GRID >= -8.3)[::20]
-    want = np.array([_fredholm_pair(float(s)) for s in tw._GRID[idx]])
+    want = np.array([fredholm_pair(float(s)) for s in tw._GRID[idx]])
     for col, variant in enumerate((tw.TW1, tw.TW2)):
         err = np.abs(tw._law_table(variant, 0.0)[idx] - want[:, col])
         assert err.max() <= 5e-10, variant
 
 
-def _table_moments(table: np.ndarray) -> tuple[float, float]:
-    grid = tw._GRID
-    pos, neg = grid >= 0.0, grid <= 0.0
-    mean = np.trapezoid(1.0 - table[pos], grid[pos]) \
-        - np.trapezoid(table[neg], grid[neg])
-    second = 2.0 * np.trapezoid(grid[pos] * (1.0 - table[pos]), grid[pos]) \
-        - 2.0 * np.trapezoid(grid[neg] * table[neg], grid[neg])
-    return float(mean), float(second - mean * mean)
-
-
 def test_tw1_moments_match_oracle():
-    mean, var = _table_moments(tw._law_table(tw.TW1, 0.0))
-    assert mean == pytest.approx(ORACLE["TW1"]["mean"], abs=1e-3)
-    assert math.sqrt(var) == pytest.approx(
-        math.sqrt(ORACLE["TW1"]["var"]), abs=1e-3)
+    mean, var = table_moments(tw._GRID, tw._law_table(tw.TW1, 0.0))
+    assert mean == pytest.approx(TW1_MEAN, abs=1e-3)
+    assert math.sqrt(var) == pytest.approx(math.sqrt(TW1_VAR), abs=1e-3)
 
 
 def test_tw2_moments_match_oracle():
-    mean, var = _table_moments(tw._law_table(tw.TW2, 0.0))
-    assert mean == pytest.approx(ORACLE["TW2"]["mean"], abs=1e-3)
-    assert var == pytest.approx(ORACLE["TW2"]["var"], abs=1e-3)
+    mean, var = table_moments(tw._GRID, tw._law_table(tw.TW2, 0.0))
+    assert mean == pytest.approx(TW2_MEAN, abs=1e-3)
+    assert var == pytest.approx(TW2_VAR, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +158,9 @@ def test_gaussian_law_is_exact():
 
 
 def test_convolution_adds_variance():
-    mean1, var1 = _table_moments(tw._law_table(tw.TW1, 0.0))
-    meanc, varc = _table_moments(tw._law_table(tw.TW1_GAUSS_CONV, 1.0))
+    mean1, var1 = table_moments(tw._GRID, tw._law_table(tw.TW1, 0.0))
+    meanc, varc = table_moments(tw._GRID,
+                                tw._law_table(tw.TW1_GAUSS_CONV, 1.0))
     assert meanc == pytest.approx(mean1, abs=1e-3)
     assert varc == pytest.approx(var1 + 1.0, abs=1e-3)
 
