@@ -22,10 +22,10 @@ support_endpoints and edgescale.build both read it.  phi(theta) = integral
 dnu/(lam v - theta)^2 falls monotonically away from the support, and
 phi^(-1/2), a power mean of the distances |lam v - theta|, is concave and
 nearly linear there, so Newton on phi^(-1/2) = 1 climbs to the root from
-the support side.  Each step reads phi and phi' in one pass over the
-quadrature nodes of nu; a step out of the bracket [edge + 1e-12, edge +
-10 + 10 lam] (phi is infinite at an atom on the edge) bisects it, and the
-solve stops after a step of at most 1e-15 + 4 eps |theta|.  solve_grid
+the support side.  Each step reads phi and phi' = 2 integral dnu/(lam v -
+theta)^3 from deformed_power; a step out of the bracket [edge + 1e-12,
+edge + 10 + 10 lam] (phi is infinite at an atom on the edge) bisects it,
+and the solve stops after a step of at most 1e-15 + 4 eps |theta|.  solve_grid
 gives the law on an energy grid at a fixed spectral height
 (solution_to_csv writes it, and the solution records its Newton iteration
 count), and density_at its density extrapolated to the real axis.  These
@@ -34,12 +34,12 @@ step cap _MAX_ITER, that refuses a non-finite lam or gamma before its
 first step.
 
 Regularity check: assumption_margin is the exact minimum over the support
-hull of integral dnu/(v-x)^2, minus lam^2, for the quadrature-node measure
-of nu.  It is the smaller of the hull-endpoint values and the minima on the
-gaps between nodes, where the integrand sum is convex; a closed-form
-two-node lower bound per gap skips every gap that cannot hold the minimum,
-so a typical empirical measure costs a pass over its N atoms, a sort of
-the N - 1 bounds and one or two short Newton solves.
+hull of integral dnu/(v-x)^2, minus lam^2: for a density, which makes it
+infinite inside, the smaller endpoint value; for atoms, the smaller of the
+hull-endpoint values and the minima on the convex gaps between atoms.  A
+closed-form two-atom lower bound per gap skips every gap that cannot hold
+the minimum, so a typical empirical measure costs a pass over its N atoms,
+a sort of the N - 1 bounds and one or two short Newton solves.
 
 Iteration scheme: Newton on G(m) = m - F(m) from m = i, which is Newton in
 the subordination variable omega = z + gamma^2 m (affine in m), where the
@@ -158,14 +158,10 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
     """(theta_minus, theta_plus, E_minus, E_plus) for the gamma = 1 law."""
     if lam < 1e-50:
         return -1.0, 1.0, -2.0, 2.0
-    xq, wq = ms._quad_nodes(nu)
-    sx = lam * xq
 
-    def phi(theta):
-        # integral dnu / (lam v - theta)^2 and its theta-derivative, one pass
-        inv = 1.0 / (sx - theta)
-        inv2 = inv * inv
-        return float(wq @ inv2), 2.0 * float(wq @ (inv2 * inv))
+    def phi(theta):  # integral dnu / (lam v - theta)^2 and its theta-derivative
+        return (float(ms.deformed_power(nu, lam, theta, 2)),
+                2.0 * float(ms.deformed_power(nu, lam, theta, 3)))
 
     vmin, vmax = ms.support_interval(nu)
     out = []
@@ -201,25 +197,25 @@ def assumption_margin(nu: ms.Measure, lam: float) -> float:
     """min over the support hull of f(x) = integral dnu/(v-x)^2, minus lam^2.
 
     A nonnegative margin is the regularity assumption behind a square-root
-    edge.  f is taken over the quadrature nodes (x_i, w_i) of nu with
-    w_i > 0: for a Jacobi density that is a discrete measure whose hull
-    endpoints are not nodes, so Jacobi(2, 2) reads 2.4992 where the
-    continuous integral at -1 is 2.5.  Outside the outermost nodes f is
-    monotone, and between two consecutive nodes it is convex and infinite
-    at both ends, so the minimum is f at a hull endpoint or the minimum on
-    some gap.  Two nodes alone bound f on their gap of width g from below by
+    edge.  A Jacobi(a, b) density makes f infinite inside [-1, 1]; f(1) =
+    G(a+b+2) G(b-1) / (4 G(a+b) G(b+1)) by Gauss's sum for b > 1, +inf for
+    b <= 1, and f(-1) swaps a and b.  Atoms (x_i, w_i) with w_i > 0 leave f
+    monotone outside their hull and convex on each gap, infinite at its
+    ends.  Two atoms alone bound f on their gap of width g from below by
     (w_k^(1/3) + w_(k+1)^(1/3))^3 / g^2; gaps are visited in ascending order
     of that bound until it reaches the best value found, each by a
     safeguarded Newton solve of f' = 0 vectorized over a batch of gaps.
     The bound only prunes: the result is always f at a concrete point."""
+    if isinstance(nu, ms.Jacobi):  # f(1), and f(-1) as f(1) of the mirror law
+        return float(min(ms.deformed_power(law, 1.0, 1.0, 2)
+                         for law in (nu, ms.Jacobi(nu.b, nu.a)))) - lam * lam
     vmin, vmax = ms.support_interval(nu)
     if vmax - vmin < 1e-30:
         return np.inf
-    xq, wq = ms._quad_nodes(nu)
-    pos = wq > 0
-    x, w = xq[pos], wq[pos]
+    pos = nu.weights > 0
+    x, w = nu.locations[pos], nu.weights[pos]
     with np.errstate(divide="ignore"):
-        # +inf where a node sits on the endpoint
+        # +inf where an atom sits on the endpoint
         best = float(min(np.sum(w / (x - e) ** 2) for e in (vmin, vmax)))
     c = np.cbrt(w)
     bound = (c[:-1] + c[1:]) ** 3 / np.diff(x) ** 2
@@ -239,7 +235,7 @@ def assumption_margin(nu: ms.Measure, lam: float) -> float:
 def _gap_minima(x, w, gaps, c):
     """min of f(t) = sum_i w_i/(x_i-t)^2 on each gap (x_k, x_(k+1)), k in gaps.
 
-    Safeguarded Newton on f' from the two-node minimiser: a step that leaves
+    Safeguarded Newton on f' from the two-atom minimiser: a step that leaves
     the bracket on which f' changes sign, or is longer than half the
     previous step, becomes a bisection, so the steps shrink geometrically."""
     lo, hi = x[gaps], x[gaps + 1]

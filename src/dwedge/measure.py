@@ -5,8 +5,7 @@ Two measure variants cover every experiment in the package:
 * ``Atomic``: finitely many weighted point masses, the carrier of empirical
   potential distributions.
 * ``Jacobi``: density proportional to (1+v)^a (1-v)^b on [-1, 1] with
-  a, b > -1, integrated by Gauss-Jacobi rules that absorb the endpoint
-  singularities exactly.
+  a, b > -1, integrated in closed form ((1+v)/2 is Beta(a+1, b+1)).
 
 Every pole integral against a measure is one function, deformed_power:
 integral v^w dnu(v) / (s v - p)^n, at the complex pole p = z + gamma^2 m
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, roots_jacobi
+from scipy.special import betaln, hyp2f1
 
 
 class MeasureFormatError(ValueError):
@@ -87,21 +86,6 @@ class Jacobi:
 Measure = Atomic | Jacobi
 
 
-@lru_cache(maxsize=32)
-def _jacobi_nodes(a: float, b: float, n: int = 160):
-    # roots_jacobi uses weight (1-x)^alpha (1+x)^beta, so alpha=b, beta=a.
-    x, w = roots_jacobi(n, b, a)
-    return x, w / np.exp(Jacobi(a, b).log_norm)
-
-
-def _quad_nodes(m: Measure):
-    """Discrete nodes (x, w) with sum(w f(x)) = integral f dnu: the atoms
-    themselves, or 160 Gauss-Jacobi nodes (exact to polynomial degree 319)."""
-    if isinstance(m, Atomic):
-        return m.locations, m.weights
-    return _jacobi_nodes(m.a, m.b)
-
-
 def support_interval(m: Measure) -> tuple[float, float]:
     """Smallest closed interval containing the support."""
     if isinstance(m, Atomic):
@@ -117,30 +101,48 @@ def stieltjes(m: Measure, z) -> complex:
 def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
     """integral v^weight dnu(v) / (scale*v - pole)^n, weight 0 or 1,
     elementwise over a real or complex pole array kept off scale*support;
-    a real pole gives a real value.  The quadrature nodes are summed as
-    written, with no division by the scale, so any scale >= 0 is stable."""
+    a real pole gives a real value, and neither form divides by the scale.
+    A Jacobi law is Euler's integral (DLMF 15.6.1), also at a pole on an
+    end (Gauss's sum, DLMF 15.4.20, or +inf): with x = 2 scale/(pole +
+    scale), (-1)^n (pole + scale)^(-n) 2F1(n, a+1; a+b+2; x); weight 1 is
+    2(a+1)/(a+b+2) times that with (a+2; a+b+3), minus the weight-0 value."""
     p = np.asarray(pole)
-    x, w = _quad_nodes(m)
-    if weight:
-        w = w * x
-    val = np.sum(w / (scale * x - p[..., None]) ** n, axis=-1)
+    if isinstance(m, Atomic):
+        d = scale * m.locations - p[..., None]
+        t = (m.weights * m.locations if weight else m.weights) / d
+        for _ in range(n - 1):
+            t /= d
+        val = np.sum(t, axis=-1)
+    else:
+        front, x = (-1.0 / (p + scale)) ** n, 2.0 * scale / (p + scale)
+        a1, c = m.a + 1.0, m.a + m.b + 2.0
+        val = front * hyp2f1(n, a1, c, x)
+        if weight:
+            val = 2.0 * a1 / c * front * hyp2f1(n, a1 + 1.0, c + 1.0, x) - val
     return val.real if np.isrealobj(p) else val
 
 
 def mean(m: Measure) -> float:
-    x, w = _quad_nodes(m)
-    return float(np.dot(w, x))
+    if isinstance(m, Atomic):
+        return float(np.dot(m.weights, m.locations))
+    return (m.a - m.b) / (m.a + m.b + 2.0)
 
 
 def central_moment(m: Measure, k: int) -> float:
-    """k-th central moment, k <= 8, exact for atoms and Jacobi nodes alike."""
+    """k-th central moment, k <= 8, exact for atoms and Jacobi laws alike."""
     if not 0 <= k <= 8:
         raise ValueError("central moments supported for k <= 8")
     if k == 0:
         return 1.0
-    x, w = _quad_nodes(m)
-    mu = np.dot(w, x)
-    return float(np.dot(w, (x - mu) ** k))
+    mu = mean(m)
+    if isinstance(m, Atomic):
+        return float(np.dot(m.weights, (m.locations - mu) ** k))
+    # d_k = integral (v - mu)^k dnu; integrating (1 - v^2) (v - mu)^k times the
+    # density by parts gives d_(j+1) = j ((1 - mu^2) d_(j-1) - 2 mu d_j) / (a+b+2+j)
+    d = [1.0, 0.0]
+    for j in range(1, k):
+        d.append(j * ((1.0 - mu * mu) * d[-2] - 2.0 * mu * d[-1]) / (m.a + m.b + 2.0 + j))
+    return d[k]
 
 
 def empirical_from_values(values) -> Atomic:

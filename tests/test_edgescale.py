@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import dwedge.edgescale as es
 import dwedge.freeconv as fc
 import dwedge.measure as ms
+import jacobi_reference as ref
 from dwedge.rngstream import stream
 
 TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -76,6 +77,18 @@ def test_build_keeps_both_edges_of_the_root_solve(lam):
     vh = empirical_two_atom(n=300)
     s = es.build(vh, lam)
     assert (s.e_minus, s.e_plus) == fc.support_endpoints(vh, lam)
+
+
+# critical couplings: sqrt(2.5) = 1.58114 for Jacobi(2, 2), sqrt(0.65625) =
+# 0.81009 for Jacobi(0.5, 3); the last case sits 1.4e-4 below it
+@pytest.mark.parametrize("a,b,lam", [(2.0, 2.0, 1.57), (2.0, 2.0, 1.578),
+                                     (2.0, 2.0, 1.5805), (2.0, 2.0, 1.581),
+                                     (0.5, 3.0, 0.805), (0.5, 3.0, 0.809)])
+def test_jacobi_scaling_near_critical_coupling_matches_mpmath(a, b, lam):
+    s = es.build(ms.Jacobi(a, b), lam)
+    want = ref.edge_scaling(a, b, lam)
+    for got, w in zip((s.zeta, s.gamma, s.e_plus, s.l_plus), want):
+        assert got == pytest.approx(float(w), rel=1e-10)
 
 
 def test_a1_is_boundary_value_of_m():

@@ -167,10 +167,14 @@ def test_assumption_margin_between_grid_points():
     assert fc.assumption_margin(TWO, 0.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(fc.AssumptionViolatedError):
         fc.support_endpoints(TWO, np.sqrt(1.0 + 1e-8))
-    # a continuous law is checked on its quadrature nodes, whose minimum is
-    # at the hull endpoint -1 (2.5 for the continuous density)
+    # a density makes f infinite inside its support, so a Jacobi law's minimum
+    # is at an end, where Gauss's sum gives f(1) = G(a+b+2)G(b-1)/(4G(a+b)G(b+1))
+    # for b > 1 and +inf otherwise; Jacobi(2, 2): G(6)G(1)/(4G(4)G(3)) = 2.5
     assert fc.assumption_margin(ms.Jacobi(2.0, 2.0), 0.0) == pytest.approx(
-        2.4992426250647872, rel=1e-12)
+        2.5, rel=1e-12)
+    assert fc.assumption_margin(ms.Jacobi(0.5, 3.0), 0.0) == pytest.approx(
+        0.65625, rel=1e-12)
+    assert fc.assumption_margin(ms.Jacobi(0.5, 0.5), 0.0) == np.inf
 
 
 def test_assumption_margin_ignores_zero_weight_atoms():
@@ -256,7 +260,7 @@ def _brentq_roots(nu, lam):
 def _oracle_cases():
     cases = [(TWO, 0.5), (TWO, 0.99), (ms.Jacobi(1.0, 1.0), 1.0)]
     cases += [(ms.Jacobi(2.0, 2.0), lam)
-              for lam in (0.5, 1.5, 1.57, 1.578, 1.5805)]
+              for lam in (0.5, 1.5, 1.57, 1.578, 1.5805, 1.581)]
     for j in range(20):
         rng = stream(j, "edge-root-oracle")
         cases.append((ms.empirical_from_values(rng.uniform(-1.0, 1.0, 500)),
@@ -266,7 +270,7 @@ def _oracle_cases():
 
 def test_edge_roots_match_brentq():
     # the safeguarded Newton root against scipy's bracketing solver, up to
-    # the near-critical couplings of Jacobi(2, 2) (node critical 1.58090)
+    # the near-critical couplings of Jacobi(2, 2) (critical sqrt(2.5) = 1.58114)
     for nu, lam in _oracle_cases():
         got, want = fc._outer_roots(nu, lam), _brentq_roots(nu, lam)
         for g, w in zip(got, want):

@@ -2,7 +2,9 @@
 
 Jacobi-transform reference values were frozen from an independent adaptive
 quadrature of Re/Im integrands (scipy.integrate.quad, epsabs=1e-13); the
-semicircle case doubles as a closed-form check.
+semicircle case doubles as a closed-form check.  Poles just off the support
+and the central moments are checked against tests/jacobi_reference.py, a
+30-digit mpmath quadrature.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dwedge.measure as ms
+import jacobi_reference as ref
 from dwedge.rngstream import stream
 
 
@@ -93,12 +96,29 @@ def test_deformed_power_is_elementwise_over_poles(med, weight):
 @pytest.mark.parametrize("scale", [0.0, 1e-60])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_deformed_power_at_vanishing_scale(med, scale, n):
-    # integral v^w dnu / (-p)^n: no branch for atoms and Jacobi nodes
+    # integral v^w dnu / (-p)^n: no branch for atoms or the Jacobi closed form
     p = 0.3 + 2.0j
     assert ms.deformed_power(med, scale, p, n) == pytest.approx(
         (-p) ** (-n), rel=1e-14)
     assert ms.deformed_power(med, scale, p, n, weight=1) == pytest.approx(
         ms.mean(med) * (-p) ** (-n), rel=1e-13, abs=1e-16)
+
+
+JACOBI_LAWS = [(1.0, 1.0), (2.0, 2.0), (0.5, 0.5), (-0.4, 0.7)]
+# (scale, pole) between 1e-4 and 1e-2 off scale*[-1, 1], at its ends and
+# above its interior
+NEAR_POLES = [(1.0, 1 + 1e-4 + 1e-4j), (0.8, -0.8 - 1e-3 + 1e-3j),
+              (1.0, 0.3 + 1e-2j), (0.7, -0.2 + 1e-4j), (1.0, 0.999 + 1e-3j)]
+
+
+@pytest.mark.parametrize("a,b", JACOBI_LAWS)
+def test_jacobi_deformed_power_near_the_support(a, b):
+    for scale, pole in NEAR_POLES:
+        for n in (1, 2, 3):
+            for weight in (0, 1):
+                got = ms.deformed_power(ms.Jacobi(a, b), scale, pole, n, weight)
+                want = complex(ref.deformed_power(a, b, scale, pole, n, weight))
+                assert abs(got - want) <= 1e-10 * abs(want), (scale, pole, n, weight)
 
 
 def test_stieltjes_rejects_lower_half_plane():
@@ -121,6 +141,16 @@ def test_central_moments():
     assert ms.mean(ms.Jacobi(1.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         ms.central_moment(two, 9)
+
+
+@pytest.mark.parametrize("a,b", JACOBI_LAWS + [(0.5, 3.0)])
+def test_jacobi_central_moments_match_quadrature(a, b):
+    med = ms.Jacobi(a, b)
+    assert ms.mean(med) == pytest.approx(float(ref.integral(a, b, lambda v: v)),
+                                         rel=1e-12, abs=1e-15)
+    for k in range(1, 9):
+        want = float(ref.central_moment(a, b, k))
+        assert ms.central_moment(med, k) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
 def test_empirical_from_values_merges_duplicates():
