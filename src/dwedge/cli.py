@@ -9,10 +9,10 @@ reproducing its own run.
 
 All randomness flows from the 64-bit master seed through named counter
 streams (see rngstream), so outputs are independent of worker count and
-scheduling.  The default worker count comes from DWEDGE_WORKERS.
+scheduling.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error,
-3 verification-suite failure.
+Exit codes: 0 success, 1 numerical failure, 2 configuration error or an
+unwritable output, 3 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -255,13 +255,11 @@ def cmd_sample(cfg: dict) -> int:
 MC_DEFAULTS = {
     "N": 300, "lam0": 0.0, "potential": "zeros", "law": ens.GAUSSIAN,
     "c2": "matched", "zero_diagonal": False, "seed": 0, "n": 200,
-    "top_k": 1, "workers": None, "out": None,
+    "top_k": 1, "workers": 1, "out": None,
 }
 
 
 def cmd_mc_edge(cfg: dict) -> int:
-    if cfg["workers"] is None:
-        cfg["workers"] = int(os.environ.get("DWEDGE_WORKERS", "1"))
     spec = _spec_from_cfg(cfg)
     result = tw.mc_edge(spec, int(cfg["n"]), top_k=int(cfg["top_k"]),
                         parallel=int(cfg["workers"]))
@@ -322,17 +320,15 @@ def cmd_dbm(cfg: dict) -> int:
         rng = rngstream.stream(spec.seed, "dbm", j)
         if cfg["observable"] == "m-edge":
             # value = Im m(t, z(t)) of the rescaled flow at the moving edge
-            for t, mval in dbm.flow_edge_track(spec, times, rng):
-                lines.append(f"{j},{t},{float(mval.imag)!r}")
-                values[t].append(mval.imag)
+            series = ((t, m.imag)
+                      for t, m in dbm.flow_edge_track(spec, times, rng))
         else:
-            state, _ = dbm.start(spec, rng)
-            for t in times:
-                if t > state.t:
-                    state = dbm.evolve(state, t - state.t)
-                mu1 = ens.eigenvalues(state.h, top=1)[0]
-                lines.append(f"{j},{t},{float(mu1)!r}")
-                values[t].append(mu1)
+            h0, _ = ens.sample_deformed(spec, rng)
+            series = ((t, ens.eigenvalues(h, top=1)[0])
+                      for t, h in dbm.flow(h0, times, rng))
+        for t, value in series:
+            lines.append(f"{j},{t},{float(value)!r}")
+            values[t].append(value)
     cfg = dict(cfg, times=times, c2=spec.c2,
                potential=ens.potential_to_json(spec.potential))
     per_time = {str(t): {"mean": float(np.mean(v)), "sd": float(np.std(v))}
@@ -480,6 +476,24 @@ def _finite_float(raw) -> float:
     return val
 
 
+def _int_arg(raw) -> int:
+    """The one converter of every integer flag and config value; a number
+    with a fractional part is refused, never truncated."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+
+
+def _out_arg(raw) -> str:
+    """An output stem, which a config file may give as a non-string."""
+    if not isinstance(raw, str):
+        raise argparse.ArgumentTypeError(f"expected a path, got {raw!r}")
+    return raw
+
+
 def _c2_arg(raw: str):
     if raw == "matched":
         return raw
@@ -498,11 +512,11 @@ _FLAGS = {
     "gamma": {"type": _finite_float},
     "lo": {"type": _finite_float},
     "hi": {"type": _finite_float},
-    "points": {"type": int},
+    "points": {"type": _int_arg},
     "eta": {"type": _finite_float},
     "extrapolate": {"action": "store_const", "const": True,
                     "help": "two-eta Richardson extrapolation of the density"},
-    "N": {"type": int},
+    "N": {"type": _int_arg},
     "lam0": {"type": _finite_float},
     "potential": {"help": "'zeros', measure JSON for iid V, or the potential "
                           "JSON of a summary"},
@@ -510,25 +524,24 @@ _FLAGS = {
     "c2": {"type": _c2_arg,
            "help": "diagonal weight, or 'matched' for the edge-matched value "
                    "1 - s4"},
-    "zero_diagonal": {"type": int,
+    "zero_diagonal": {"type": _int_arg,
                       "help": "1 to zero the diagonal, 0 for noisy diagonal"},
-    "seed": {"type": int},
-    "n": {"type": int, "help": "number of samples (dbm: of trajectories)"},
+    "seed": {"type": _int_arg},
+    "n": {"type": _int_arg, "help": "number of samples (dbm: of trajectories)"},
     "format": {"choices": ["csv", "binary"]},
-    "top_k": {"type": int},
-    "workers": {"type": int,
-                "help": "sample-level parallelism (default $DWEDGE_WORKERS)"},
+    "top_k": {"type": _int_arg},
+    "workers": {"type": _int_arg, "help": "sample-level parallelism"},
     "sigma0": {"type": _finite_float},
     "delta": {"type": _finite_float},
-    "sizes": {"type": int, "nargs": "+", "metavar": "N"},
+    "sizes": {"type": _int_arg, "nargs": "+", "metavar": "N"},
     "times": {"type": _finite_float, "nargs": "+"},
     "observable": {"choices": ["edge", "m-edge"],
                    "help": "edge eigenvalue, or Im m at the moving edge"},
     "suite": {"choices": ["identities", "local-law", "optical", "all"]},
-    "seeds": {"type": int, "help": "runs per suite"},
+    "seeds": {"type": _int_arg, "help": "runs per suite"},
     "step": {"type": _finite_float},
-    "out": {"help": "output stem; writes <out>.json and, for table "
-                    "commands, <out>.csv"},
+    "out": {"type": _out_arg, "help": "output stem; writes <out>.json and, "
+                                      "for table commands, <out>.csv"},
 }
 
 _COMMANDS = {
@@ -577,9 +590,9 @@ def main(argv=None) -> int:
             fc.AssumptionViolatedError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         # after the numerical clause, whose errors subclass ValueError:
-        # ConfigError, MeasureFormatError and every value a layer rejects
+        # ConfigError, MeasureFormatError, rejected values, unwritable outputs
         print(f"error: {e}", file=sys.stderr)
         return 2
 

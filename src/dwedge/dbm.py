@@ -8,8 +8,9 @@ exactly:
     h_ii <- e^{-dt/2} h_ii,
 
 with iid standard normal xi.  There is no step-size parameter and no
-discretization error; long flows are single jumps.  Entry variances are
-constant in time when started from Wigner variances, and the fixed-time
+discretization error; long flows are single jumps.  evolve and flow consume
+rng in time order, so one generator serves one trajectory.  Entry variances
+are constant in time when started from Wigner variances, and the fixed-time
 marginal started from the deformed ensemble is the three-component
 interpolation that ensemble.sample_interpolated draws directly, which the
 tests use as a cross-module oracle.  The canonical terminal time for
@@ -20,7 +21,7 @@ decayed to the N^{-2} scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,54 +30,36 @@ from . import ensemble as ens
 from . import measure as ms
 from . import resolvent as rv
 
-__all__ = [
-    "FlowState",
-    "start",
-    "evolve",
-    "flow_times",
-    "flow_edge_track",
-    "goe_invariance_check",
-    "ks_two_sample",
-]
+__all__ = ["evolve", "flow", "flow_times", "flow_edge_track",
+           "goe_invariance_check", "ks_two_sample"]
 
 EDGE_EPS = 0.01  # eta exponent for edge tracking, as elsewhere
 
 
-@dataclass
-class FlowState:
-    """One trajectory of the matrix flow.
-
-    The state owns its rng cursor: evolving mutates the generator, so a
-    trajectory must not be shared across workers.  h stays symmetric with
-    a noiseless diagonal by construction; evolve asserts neither, it
-    preserves them exactly.
-    """
-
-    t: float
-    h: np.ndarray
-    rng: np.random.Generator
-
-
-def start(spec: ens.EnsembleSpec, rng: np.random.Generator
-          ) -> tuple[FlowState, np.ndarray]:
-    """Draw the initial condition; returns the state and the potential."""
-    h, v = ens.sample_deformed(spec, rng)
-    return FlowState(t=0.0, h=h, rng=rng), v
-
-
-def evolve(state: FlowState, dt: float) -> FlowState:
-    """Exact transition of the flow over dt > 0.
+def evolve(h: np.ndarray, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact transition of h over dt > 0; h itself is left unchanged.
 
     The noise matrix reuses the Wigner sampler with a zeroed diagonal, so
     the diagonal is damped without noise and bitwise symmetry is free.
     """
     if not dt > 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
-    n = state.h.shape[0]
     decay = math.exp(-dt / 2.0)
     fresh = math.sqrt(-math.expm1(-dt))
-    xi = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, state.rng, zero_diagonal=True)
-    return replace(state, t=state.t + dt, h=decay * state.h + fresh * xi)
+    xi = ens.sample_wigner(h.shape[0], ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
+    return decay * h + fresh * xi
+
+
+def flow(h: np.ndarray, times, rng: np.random.Generator
+         ) -> Iterator[tuple[float, np.ndarray]]:
+    """(t, h(t)) at each observation time of the flow from h at t = 0, with
+    one evolve jump per interval; a time 0 yields h itself."""
+    now = 0.0
+    for t in flow_times(times):
+        if t > now:
+            h = evolve(h, t - now, rng)
+            now = t
+        yield t, h
 
 
 def flow_times(times) -> list[float]:
@@ -101,17 +84,13 @@ def flow_edge_track(spec: ens.EnsembleSpec, times,
     the rescaling constants follow the decayed coupling lam0 e^{-t/2}
     against the empirical potential measure of the realized draw.
     """
-    ts = flow_times(times)
     eta = spec.N ** (-2.0 / 3.0 - EDGE_EPS)
-    state, v = start(spec, rng)
+    h, v = ens.sample_deformed(spec, rng)
     nu_hat = ms.empirical_from_values(v)
     out = []
-    for t in ts:
-        if t > state.t:
-            state = evolve(state, t - state.t)
+    for t, ht in flow(h, times, rng):
         sc = es.flow_scaling(nu_hat, spec.lam0, t)
-        z = sc.l_plus + 1j * eta
-        out.append((t, rv.green(sc.gamma * state.h, z).m))
+        out.append((t, rv.green(sc.gamma * ht, sc.l_plus + 1j * eta).m))
     return out
 
 
@@ -145,10 +124,8 @@ def goe_invariance_check(n: int, t: float, n_samples: int,
     for _ in range(n_samples):
         h0 = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
         top0.append(ens.eigenvalues(h0, top=1)[0])
-        state = FlowState(t=0.0, h=ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng,
-                                                     zero_diagonal=True),
-                          rng=rng)
+        ht = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
         if t > 0.0:
-            state = evolve(state, t)
-        topt.append(ens.eigenvalues(state.h, top=1)[0])
+            ht = evolve(ht, t, rng)
+        topt.append(ens.eigenvalues(ht, top=1)[0])
     return ks_two_sample(top0, topt)

@@ -290,8 +290,8 @@ def test_criterion_10_dbm_invariance_and_interpolation():
     rng = rngstream.stream(62, "c10flow")
     flowed = []
     for _ in range(500):
-        state, _ = dbm.start(spec, rng)
-        flowed.append(np.linalg.eigvalsh(dbm.evolve(state, 1.0).h)[-1])
+        h, _ = ens.sample_deformed(spec, rng)
+        flowed.append(np.linalg.eigvalsh(dbm.evolve(h, 1.0, rng))[-1])
     direct = [np.linalg.eigvalsh(
         ens.sample_interpolated(spec, 1.0, rngstream.stream(63, "c10ref", k)))[-1]
         for k in range(500)]

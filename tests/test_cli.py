@@ -220,13 +220,15 @@ BAD_VALUES = [
     ("sample", ["--n", "0", "--format", "binary"], None),
     ("mc-edge", [], {"n": "abc"}), ("regime", [], {"sizes": 5}),
     ("fc-solve", [], {"measure": [1, 2]}), ("verify", [], {"seeds": "x"}),
-    ("mc-edge", [], {"N": float("inf")}),
+    ("mc-edge", [], {"N": float("inf")}), ("mc-edge", [], {"N": 60.9}),
+    ("dbm", [], {"zero_diagonal": 0.5}), ("sample", [], {"out": 5}),
 ]
 
 
-# every flag that takes a real number: all but the int and string ones
+# every flag that takes a real number
 FLOAT_FLAGS = [(command, key) for command, (_, defaults, _) in cli._COMMANDS.items()
-               for key in defaults if cli._FLAGS[key].get("type") not in (None, int)]
+               for key in defaults
+               if cli._FLAGS[key].get("type") in (cli._finite_float, cli._c2_arg)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -270,6 +272,21 @@ def test_bad_value_exits_2(tmp_path, capsys, command, flags, config):
     assert exit_code(*argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+WRITERS = [["fc-solve", "--points", "11"], ["edge-scaling"], ["sample", "--N", "10"],
+           ["mc-edge", "--N", "10", "--n", "2"], ["regime", "--sizes", "20", "--n", "3"],
+           ["dbm", "--N", "10", "--n", "1"],
+           ["verify", "--suite", "identities", "--seeds", "1"], ["tw-table", "--step", "1"]]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv):
+    # a missing directory ended in a FileNotFoundError traceback, exit 1
+    out = tmp_path / "missing" / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
 
 
 def test_emit_refuses_nan_before_writing(tmp_path):
@@ -458,7 +475,7 @@ def _flag_value(action, default):
         pick = next(c for c in action.choices if c != default)
         return [pick], pick
     convert = action.type or str
-    word = "x" if convert is str else "7" if convert is int else "0.25"
+    word = "x" if convert is str else "7" if convert is cli._int_arg else "0.25"
     if action.nargs == "+":
         return [word, word], [convert(word)] * 2
     return [word], convert(word)

@@ -26,54 +26,56 @@ def two_atom_spec(n, lam0=0.5):
                             law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
 
 
-def wigner_state(n, seed, label):
-    h = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(seed, label))
-    return dbm.FlowState(0.0, h, stream(seed, label + "n"))
+def wigner(n, seed, label):
+    return ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(seed, label))
 
 
 # ------------------------------------------------------------- evolve
 
 
 def test_tiny_step_is_identity():
-    state = wigner_state(100, 11, "tiny")
-    before = state.h.copy()
-    after = dbm.evolve(state, 1e-12)
-    assert after.t == pytest.approx(1e-12)
-    assert np.abs(after.h - before).max() < 1e-6
+    h = wigner(100, 11, "tiny")
+    after = dbm.evolve(h, 1e-12, stream(11, "tinyn"))
+    assert np.abs(after - h).max() < 1e-6
 
 
 def test_evolve_rejects_nonpositive_dt():
-    state = wigner_state(10, 12, "baddt")
+    h, rng = wigner(10, 12, "baddt"), stream(12, "baddtn")
     with pytest.raises(ValueError):
-        dbm.evolve(state, 0.0)
+        dbm.evolve(h, 0.0, rng)
     with pytest.raises(ValueError):
-        dbm.evolve(state, -1.0)
+        dbm.evolve(h, -1.0, rng)
+
+
+def test_evolve_leaves_its_argument_unchanged():
+    h = wigner(40, 17, "keep")
+    before = h.copy()
+    after = dbm.evolve(h, 0.3, stream(17, "keepn"))
+    assert np.array_equal(h, before)
+    assert not np.shares_memory(after, h)
 
 
 def test_stationary_law_from_zero():
-    state = dbm.FlowState(0.0, np.zeros((500, 500)), stream(26, "statn"))
-    out = dbm.evolve(state, 50.0)
+    out = dbm.evolve(np.zeros((500, 500)), 50.0, stream(26, "statn"))
     off = ~np.eye(500, dtype=bool)
-    assert abs(500 * np.mean(out.h[off] ** 2) - 1.0) < 0.02
+    assert abs(500 * np.mean(out[off] ** 2) - 1.0) < 0.02
     # no Brownian term on the diagonal, ever
-    assert np.all(np.diag(out.h) == 0.0)
+    assert np.all(np.diag(out) == 0.0)
 
 
 def test_variance_preserved_along_flow():
     h = ens.sample_wigner(500, ens.GAUSSIAN, 0.0, stream(25, "varp"))
-    state = dbm.FlowState(0.0, h, stream(25, "varpn"))
     off = ~np.eye(500, dtype=bool)
-    for t in (0.5, 1.0, 4.0):
-        state = dbm.evolve(state, t - state.t)
-        assert abs(500 * np.mean(state.h[off] ** 2) - 1.0) < 0.01
+    for _, ht in dbm.flow(h, (0.5, 1.0, 4.0), stream(25, "varpn")):
+        assert abs(500 * np.mean(ht[off] ** 2) - 1.0) < 0.01
 
 
 def test_symmetry_and_zero_diagonal_bitlevel():
-    state = wigner_state(80, 13, "bits")
+    h, rng = wigner(80, 13, "bits"), stream(13, "bitsn")
     for _ in range(3):
-        state = dbm.evolve(state, 0.7)
-        assert np.array_equal(state.h, state.h.T)
-        assert np.all(np.diag(state.h) == 0.0)
+        h = dbm.evolve(h, 0.7, rng)
+        assert np.array_equal(h, h.T)
+        assert np.all(np.diag(h) == 0.0)
 
 
 def test_semigroup_variance_bookkeeping():
@@ -83,21 +85,53 @@ def test_semigroup_variance_bookkeeping():
     for a, b in ((0.3, 0.7), (1e-3, 2.0), (5.0, 5.0)):
         two_step = math.exp(-b) * -math.expm1(-a) - math.expm1(-b)
         assert two_step == pytest.approx(-math.expm1(-(a + b)), rel=1e-14)
-    state = dbm.FlowState(0.0, np.zeros((400, 400)), stream(27, "semig"))
-    out = dbm.evolve(dbm.evolve(state, 0.4), 1.1)
+    rng = stream(27, "semig")
+    out = dbm.evolve(dbm.evolve(np.zeros((400, 400)), 0.4, rng), 1.1, rng)
     off = ~np.eye(400, dtype=bool)
-    assert 400 * np.mean(out.h[off] ** 2) == pytest.approx(-math.expm1(-1.5),
-                                                           rel=0.03)
+    assert 400 * np.mean(out[off] ** 2) == pytest.approx(-math.expm1(-1.5),
+                                                         rel=0.03)
 
 
 def test_start_diagonal_carries_the_coupling():
     spec = two_atom_spec(60)
-    state, v = dbm.start(spec, stream(14, "start"))
-    assert state.t == 0.0
-    assert np.allclose(np.diag(state.h), 0.5 * v)
-    out = dbm.evolve(state, 2.0)
+    rng = stream(14, "start")
+    h, v = ens.sample_deformed(spec, rng)
+    assert np.allclose(np.diag(h), 0.5 * v)
+    out = dbm.evolve(h, 2.0, rng)
     # diagonal decays deterministically with the coupling
-    assert np.allclose(np.diag(out.h), math.exp(-1.0) * 0.5 * v)
+    assert np.allclose(np.diag(out), math.exp(-1.0) * 0.5 * v)
+
+
+# --------------------------------------------------------------- flow
+
+
+def test_flow_yields_each_time_once():
+    h = wigner(30, 18, "once")
+    times = [0.0, 0.25, 1.0, 3.5]
+    assert [t for t, _ in dbm.flow(h, times, stream(18, "oncen"))] == times
+    assert [t for t, _ in dbm.flow(h, [2.0], stream(18, "oncen"))] == [2.0]
+
+
+def test_flow_at_time_zero_yields_its_input():
+    h = wigner(30, 19, "zero")
+    before = h.copy()
+    (t0, h0), (_, h1) = dbm.flow(h, [0.0, 1.0], stream(19, "zeron"))
+    assert t0 == 0.0
+    assert np.array_equal(h0, before) and np.array_equal(h, before)
+    assert not np.array_equal(h1, before)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 2.0], [0.1, 0.3, 0.7, 5.9]])
+def test_flow_draws_exactly_as_a_chain_of_evolve_calls(times):
+    h = wigner(40, 20, "chain")
+    rng_flow, rng_chain = stream(20, "chainn"), stream(20, "chainn")
+    now, chained = 0.0, h
+    for t, ht in dbm.flow(h, times, rng_flow):
+        if t > now:
+            chained, now = dbm.evolve(chained, t - now, rng_chain), t
+        assert np.array_equal(ht, chained)
+    # both generators sit at the same point of the stream afterwards
+    assert rng_flow.random() == rng_chain.random()
 
 
 # ---------------------------------------------------------- edge track
@@ -162,11 +196,10 @@ def test_terminal_flow_reaches_goe_edge():
     times = [0.0, 1.0, 2.0, 4.0 * math.log(n)]
     term, goe = [], []
     for k in range(ntraj):
-        state, _ = dbm.start(spec, rng)
-        for a, b in zip(times, times[1:]):
-            state = dbm.evolve(state, b - a)
-        assert state.t == pytest.approx(4.0 * math.log(n))
-        term.append(np.linalg.eigvalsh(state.h)[-1])
+        h, _ = ens.sample_deformed(spec, rng)
+        *_, (t_end, h_end) = dbm.flow(h, times, rng)
+        assert t_end == pytest.approx(4.0 * math.log(n))
+        term.append(np.linalg.eigvalsh(h_end)[-1])
         goe.append(np.linalg.eigvalsh(
             ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(22, "goeref", k),
                               zero_diagonal=True))[-1])
@@ -179,8 +212,8 @@ def test_marginal_matches_interpolated_draw():
     rng = stream(23, "marg")
     flowed = []
     for _ in range(nsamp):
-        state, _ = dbm.start(spec, rng)
-        flowed.append(np.linalg.eigvalsh(dbm.evolve(state, t).h)[-1])
+        h, _ = ens.sample_deformed(spec, rng)
+        flowed.append(np.linalg.eigvalsh(dbm.evolve(h, t, rng))[-1])
     direct = [np.linalg.eigvalsh(ens.sample_interpolated(spec, t, stream(24, "margref", k)))[-1]
               for k in range(nsamp)]
     assert dbm.ks_two_sample(flowed, direct) < 0.1
