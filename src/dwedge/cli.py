@@ -154,16 +154,21 @@ def _emit(summary: dict, out: str | None, csv_text: str | None = None) -> None:
     print("wrote " + " ".join(wrote))
 
 
+def _csv(header: str, rows) -> str:
+    """The text of every CSV table: ints as written, any other value as
+    repr(float), which reads back exactly."""
+    lines = (",".join(str(x) if isinstance(x, int) else repr(float(x))
+                      for x in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
+
+
 def _spec_from_cfg(cfg: dict) -> ens.EnsembleSpec:
-    law = cfg["law"]
-    c2 = cfg["c2"]
-    if c2 is None or c2 == "matched":
-        c2 = ens.edge_matched_c2(law)
+    c2 = ens.edge_matched_c2(cfg["law"]) if cfg["c2"] == "matched" else cfg["c2"]
     return ens.EnsembleSpec(
-        N=int(cfg["N"]), lam0=float(cfg["lam0"]),
-        potential=_potential_arg(cfg["potential"], int(cfg["N"])),
-        law=law, c2=float(c2), zero_diagonal=bool(cfg["zero_diagonal"]),
-        seed=int(cfg["seed"]))
+        N=cfg["N"], lam0=cfg["lam0"],
+        potential=_potential_arg(cfg["potential"], cfg["N"]),
+        law=cfg["law"], c2=c2, zero_diagonal=bool(cfg["zero_diagonal"]),
+        seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +182,8 @@ FC_DEFAULTS = {
 
 def cmd_fc_solve(cfg: dict) -> int:
     nu = _measure_arg(cfg["measure"])
-    lam = float(cfg["lam"])
-    gamma = float(cfg["gamma"])
-    if cfg["lo"] is None or cfg["hi"] is None:
+    lam, gamma, lo, hi, eta = (cfg[k] for k in ("lam", "gamma", "lo", "hi", "eta"))
+    if lo is None or hi is None:
         try:
             e_m, e_p = fc.support_endpoints(nu, lam)
         except fc.AssumptionViolatedError:
@@ -187,12 +191,9 @@ def cmd_fc_solve(cfg: dict) -> int:
             # lam*nu plus the semicircle still brackets all the mass.
             vmin, vmax = ms.support_interval(nu)
             e_m, e_p = lam * vmin - 2.0, lam * vmax + 2.0
-        lo = gamma * e_m - 0.5 if cfg["lo"] is None else float(cfg["lo"])
-        hi = gamma * e_p + 0.5 if cfg["hi"] is None else float(cfg["hi"])
-    else:
-        lo, hi = float(cfg["lo"]), float(cfg["hi"])
-    eta = float(cfg["eta"])
-    sol = fc.solve_grid(nu, lam, gamma, lo, hi, int(cfg["points"]), eta)
+        lo = gamma * e_m - 0.5 if lo is None else lo
+        hi = gamma * e_p + 0.5 if hi is None else hi
+    sol = fc.solve_grid(nu, lam, gamma, lo, hi, cfg["points"], eta)
     # unchecked outer edges: a split support reports its hull, and a law
     # with no edge root fails here, before the extrapolation solve
     support = list(sol.support)
@@ -204,7 +205,8 @@ def cmd_fc_solve(cfg: dict) -> int:
                        mass=float(np.trapezoid(sol.density, sol.grid)),
                        peak=float(sol.density.max()),
                        iterations=sol.iterations)
-    _emit(summary, cfg["out"], fc.solution_to_csv(sol))
+    _emit(summary, cfg["out"], _csv("E,re_m,im_m,density", zip(
+        sol.grid, sol.m.real, sol.m.imag, sol.density)))
     return 0
 
 
@@ -216,7 +218,7 @@ def cmd_edge_scaling(cfg: dict) -> int:
     nu = _measure_arg(cfg["measure"])
     cfg = dict(cfg, measure=ms.to_json(nu))
     try:
-        scaling = es.build(nu, float(cfg["lam"]))
+        scaling = es.build(nu, cfg["lam"])
     except fc.AssumptionViolatedError as e:
         _emit(_summary("edge-scaling", cfg, status="assumption_failed",
                        detail=str(e)), cfg["out"])
@@ -239,15 +241,19 @@ SAMPLE_DEFAULTS = {
 def cmd_sample(cfg: dict) -> int:
     if cfg["out"] is None:
         raise ConfigError("sample: --out is required")
-    if int(cfg["n"]) < 0:
+    if cfg["n"] < 0:
         raise ConfigError(f"sample: need --n >= 0, got {cfg['n']}")
-    writers = {"binary": ens.write_spectra_binary, "csv": ens.write_spectra_csv}
     spec = _spec_from_cfg(cfg)
-    spectra = np.empty((int(cfg["n"]), spec.N))
+    spectra = np.empty((cfg["n"], spec.N))
     for j in range(spectra.shape[0]):
         rng = rngstream.stream(spec.seed, "sample", j)
         spectra[j] = ens.eigenvalues(ens.sample_deformed(spec, rng)[0])
-    writers[cfg["format"]](cfg["out"], spectra)
+    if cfg["format"] == "binary":
+        ens.write_spectra_binary(cfg["out"], spectra)
+    else:
+        with open(cfg["out"], "w") as fh:
+            fh.write(_csv("sample_index,k,mu_k", ((j, k + 1, mu) for (j, k), mu
+                                                  in np.ndenumerate(spectra))))
     print(f"wrote {cfg['out']}")
     return 0
 
@@ -261,18 +267,16 @@ MC_DEFAULTS = {
 
 def cmd_mc_edge(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    result = tw.mc_edge(spec, int(cfg["n"]), top_k=int(cfg["top_k"]),
-                        parallel=int(cfg["workers"]))
+    result = tw.mc_edge(spec, cfg["n"], top_k=cfg["top_k"],
+                        parallel=cfg["workers"])
     cfg = dict(cfg, c2=spec.c2, potential=ens.potential_to_json(spec.potential))
-    lines = ["sample," + ",".join(f"s{j + 1}" for j in range(int(cfg["top_k"])))]
-    samples = np.atleast_2d(result.samples.T).T
-    for idx, row in enumerate(samples):
-        lines.append(f"{idx}," + ",".join(f"{float(x)!r}" for x in row))
-    summary = _summary("mc-edge", cfg, n=result.n_samples, ks=result.ks,
+    csv_text = _csv("sample," + ",".join(f"s{j + 1}" for j in range(cfg["top_k"])),
+                    ((idx, *row) for idx, row in enumerate(result.samples)))
+    summary = _summary("mc-edge", cfg, n=len(result.samples), ks=result.ks,
                        law=tw.TW1, params={"e_plus_mean": float(np.mean(result.e_plus)),
                                            "gamma0_mean": float(np.mean(result.gamma0))},
                        seed=spec.seed, runtime=result.runtime)
-    _emit(summary, cfg["out"], "\n".join(lines) + "\n")
+    _emit(summary, cfg["out"], csv_text)
     return 0
 
 
@@ -284,21 +288,17 @@ REGIME_DEFAULTS = {
 
 def cmd_regime(cfg: dict) -> int:
     nu = _measure_arg(cfg["measure"])
-    sizes = [int(x) for x in cfg["sizes"]]
-    outs = tw.regime_test(nu, float(cfg["sigma0"]), float(cfg["delta"]),
-                          sizes, int(cfg["n"]), seed=int(cfg["seed"]))
-    cfg = dict(cfg, measure=ms.to_json(nu), sizes=sizes)
-    lines = ["N,sample,stat"]
-    for out in outs:
-        for idx, x in enumerate(out["samples"]):
-            lines.append(f"{out['N']},{idx},{float(x)!r}")
+    outs = tw.regime_test(nu, cfg["sigma0"], cfg["delta"], cfg["sizes"],
+                          cfg["n"], seed=cfg["seed"])
+    cfg = dict(cfg, measure=ms.to_json(nu))
     verdicts = [{
         "N": o["N"], "lam0": o["lam0"], "case": o["case"],
         "law": o["law"].variant, "sigma2": o["law"].sigma2,
         "e_plus": o["e_plus"], "ks": o["ks"], "n": o["n_samples"],
     } for o in outs]
     _emit(_summary("regime", cfg, verdicts=verdicts), cfg["out"],
-          "\n".join(lines) + "\n")
+          _csv("N,sample,stat", ((o["N"], idx, x) for o in outs
+                                 for idx, x in enumerate(o["samples"]))))
     return 0
 
 
@@ -310,13 +310,13 @@ DBM_DEFAULTS = {
 
 
 def cmd_dbm(cfg: dict) -> int:
-    if int(cfg["n"]) < 1:
+    if cfg["n"] < 1:
         raise ConfigError(f"dbm: need --n >= 1, got {cfg['n']}")
     times = dbm.flow_times(cfg["times"])
     spec = _spec_from_cfg(cfg)
-    lines = ["trajectory,t,value"]
+    rows = []
     values = {t: [] for t in times}
-    for j in range(int(cfg["n"])):
+    for j in range(cfg["n"]):
         rng = rngstream.stream(spec.seed, "dbm", j)
         if cfg["observable"] == "m-edge":
             # value = Im m(t, z(t)) of the rescaled flow at the moving edge
@@ -327,7 +327,7 @@ def cmd_dbm(cfg: dict) -> int:
             series = ((t, ens.eigenvalues(h, top=1)[0])
                       for t, h in dbm.flow(h0, times, rng))
         for t, value in series:
-            lines.append(f"{j},{t},{float(value)!r}")
+            rows.append((j, t, value))
             values[t].append(value)
     cfg = dict(cfg, times=times, c2=spec.c2,
                potential=ens.potential_to_json(spec.potential))
@@ -337,7 +337,8 @@ def cmd_dbm(cfg: dict) -> int:
     if len(times) > 1:
         extra["ks_first_last"] = dbm.ks_two_sample(values[times[0]],
                                                    values[times[-1]])
-    _emit(_summary("dbm", cfg, **extra), cfg["out"], "\n".join(lines) + "\n")
+    _emit(_summary("dbm", cfg, **extra), cfg["out"],
+          _csv("trajectory,t,value", rows))
     return 0
 
 
@@ -428,12 +429,11 @@ def cmd_verify(cfg: dict) -> int:
     suites = {"identities": _verify_identities,
               "local-law": _verify_local_law,
               "optical": _verify_optical}
-    if int(cfg["seeds"]) < 1:
+    if cfg["seeds"] < 1:
         raise ConfigError("verify.seeds: need at least one run per suite")
     if cfg["suite"] != "all":
         suites = {cfg["suite"]: suites[cfg["suite"]]}
-    reports = [fn(int(cfg["seed"]), int(cfg["seeds"]))
-               for fn in suites.values()]
+    reports = [fn(cfg["seed"], cfg["seeds"]) for fn in suites.values()]
     ok = all(r["pass"] for r in reports)
     _emit(_summary("verify", cfg, reports=reports,
                    status="pass" if ok else "fail"), cfg["out"])
@@ -444,17 +444,14 @@ TW_DEFAULTS = {"lo": -10.0, "hi": 6.0, "step": 0.05, "out": None}
 
 
 def cmd_tw_table(cfg: dict) -> int:
-    lo, hi, step = float(cfg["lo"]), float(cfg["hi"]), float(cfg["step"])
+    lo, hi, step = cfg["lo"], cfg["hi"], cfg["step"]
     if not (lo < hi and step > 0):
         raise ConfigError("tw-table: need lo < hi and step > 0")
     # only arange's last point can pass hi: by rounding, or by a step that
     # does not divide hi - lo
     grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
-    lines = ["s,F1,F2"]
-    for s in grid:
-        lines.append(f"{float(s)!r},{tw.tw_cdf(1, float(s))!r},"
-                     f"{tw.tw_cdf(2, float(s))!r}")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv("s,F1,F2", ((s, tw.tw_cdf(1, s), tw.tw_cdf(2, s))
+                                for s in grid))
     if cfg["out"] is None:
         sys.stdout.write(csv_text)
         return 0
@@ -524,7 +521,7 @@ _FLAGS = {
     "c2": {"type": _c2_arg,
            "help": "diagonal weight, or 'matched' for the edge-matched value "
                    "1 - s4"},
-    "zero_diagonal": {"type": _int_arg,
+    "zero_diagonal": {"type": _int_arg, "choices": [0, 1],
                       "help": "1 to zero the diagonal, 0 for noisy diagonal"},
     "seed": {"type": _int_arg},
     "n": {"type": _int_arg, "help": "number of samples (dbm: of trajectories)"},
@@ -585,6 +582,9 @@ def main(argv=None) -> int:
     _, defaults, fn = _COMMANDS[args.command]
     try:
         cfg = _resolve(defaults, args)
+        # a missing output directory fails here, before any sampling
+        if cfg["out"] and not os.path.isdir(os.path.dirname(cfg["out"]) or "."):
+            raise ConfigError(f"out: no directory for {cfg['out']}")
         return fn(cfg)
     except (fc.IterationError, fc.InsufficientPointsError,
             fc.AssumptionViolatedError, np.linalg.LinAlgError) as e:

@@ -16,9 +16,9 @@ the tests against an independent high-precision oracle at N = 50.
 Checks live at the two entries: eigenvalues() checks any matrix it is given
 (square, finite, symmetric) and never modifies it, and sample_deformed()
 checks the one part of its output that can be non-finite, the diagonal.  The
-Monte Carlo loops, which discard each sampled matrix after its solve, call
-_top_eigenvalues() on it directly: no second validation pass, and LAPACK
-overwrites the matrix in place instead of working on a copy.
+Monte Carlo draw loop, which discards each sampled matrix after its solve,
+calls _top_eigenvalues() on it directly: no second validation pass, and
+LAPACK overwrites the matrix in place instead of working on a copy.
 """
 
 from __future__ import annotations
@@ -213,17 +213,8 @@ def potential_from_json(obj) -> IIDFrom | Fixed:
     raise ms.MeasureFormatError(f"potential.kind: unknown variant {obj['kind']!r}")
 
 
-# spectra files from a (count, N) array, one descending spectrum per row:
-# CSV rows (sample_index = row, k, mu_k), or a compact binary column format
-# "DWSP" | uint32 N | uint64 count | count*N little-endian f64
-
-def write_spectra_csv(path: str, spectra: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("sample_index,k,mu_k\n")
-        for j, ev in enumerate(spectra):
-            for k, mu in enumerate(ev, start=1):
-                fh.write(f"{j},{k},{float(mu)!r}\n")
-
+# binary spectra files (the cli writes the CSV form), one descending spectrum
+# per row: "DWSP" | uint32 N | uint64 count | count*N little-endian f64
 
 def write_spectra_binary(path: str, spectra: np.ndarray) -> None:
     spectra = np.asarray(spectra, dtype="<f8")

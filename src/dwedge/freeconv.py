@@ -26,12 +26,11 @@ the support side.  Each step reads phi and phi' = 2 integral dnu/(lam v -
 theta)^3 from deformed_power; a step out of the bracket [edge + 1e-12,
 edge + 10 + 10 lam] (phi is infinite at an atom on the edge) bisects it,
 and the solve stops after a step of at most 1e-15 + 4 eps |theta|.  solve_grid
-gives the law on an energy grid at a fixed spectral height
-(solution_to_csv writes it, and the solution records its Newton iteration
-count), and density_at its density extrapolated to the real axis.  These
-and solve_point share one Newton solve, at the fixed residual _TOL and
-step cap _MAX_ITER, that refuses a non-finite lam or gamma before its
-first step.
+gives the law on an energy grid at a fixed spectral height (the solution
+records its Newton iteration count), and density_at its density
+extrapolated to the real axis.  These and solve_point share one Newton
+solve, at the fixed residual _TOL and step cap _MAX_ITER, that refuses a
+non-finite lam or gamma before its first step.
 
 Regularity check: assumption_margin is the exact minimum over the support
 hull of integral dnu/(v-x)^2, minus lam^2: for a density, which makes it
@@ -331,9 +330,3 @@ def edge_exponent_fit(sol: FreeConvolutionSolution) -> tuple[float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     return float(np.exp(intercept)), float(slope)
 
-
-def solution_to_csv(sol: FreeConvolutionSolution) -> str:
-    lines = ["E,re_m,im_m,density"]
-    for e, mv, d in zip(sol.grid, sol.m, sol.density):
-        lines.append(f"{float(e)!r},{float(mv.real)!r},{float(mv.imag)!r},{float(d)!r}")
-    return "\n".join(lines) + "\n"

@@ -105,7 +105,10 @@ def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
     A Jacobi law is Euler's integral (DLMF 15.6.1), also at a pole on an
     end (Gauss's sum, DLMF 15.4.20, or +inf): with x = 2 scale/(pole +
     scale), (-1)^n (pole + scale)^(-n) 2F1(n, a+1; a+b+2; x); weight 1 is
-    2(a+1)/(a+b+2) times that with (a+2; a+b+3), minus the weight-0 value."""
+    2(a+1)/(a+b+2) times that with (a+2; a+b+3), minus the weight-0 value.
+    scipy's complex 2F1 fails near x = exp(+-i pi/3), so a non-real pole
+    with Bernstein radius rho(pole/scale) >= 1.5 takes a 40-node
+    Gauss-Jacobi rule instead, accurate to about rho^-80."""
     p = np.asarray(pole)
     if isinstance(m, Atomic):
         d = scale * m.locations - p[..., None]
@@ -119,7 +122,23 @@ def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
         val = front * hyp2f1(n, a1, c, x)
         if weight:
             val = 2.0 * a1 / c * front * hyp2f1(n, a1 + 1.0, c + 1.0, x) - val
+        if scale and np.iscomplexobj(p):
+            # rho(w) + 1/rho(w) = |w - 1| + |w + 1|, at w = p / scale
+            far = (p.imag != 0) & (abs(p - scale) + abs(p + scale)
+                                   >= (1.5 + 1 / 1.5) * abs(scale))
+            v, q = _gauss_jacobi(m.a, m.b)
+            val = np.array(val)
+            val[far] = (q * v ** weight / (scale * v - p[far][:, None]) ** n).sum(-1)
+            val = val[()]
     return val.real if np.isrealobj(p) else val
+
+
+@lru_cache(maxsize=32)
+def _gauss_jacobi(a: float, b: float):
+    """40-node Gauss-Jacobi rule for Jacobi(a, b), weights summing to 1."""
+    from scipy.special import roots_jacobi
+    v, q = roots_jacobi(40, b, a)
+    return v, q / q.sum()
 
 
 def mean(m: Measure) -> float:

@@ -267,19 +267,29 @@ def _check_n_samples(n_samples) -> None:
         raise ValueError(f"need an integer n_samples >= 1, got {n_samples!r}")
 
 
+def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
+               rescale=None, parallel: int = 1) -> list:
+    """(top k eigenvalues, rescale(nu-hat)) per draw, in sample order.
+
+    Sample j draws (H, V) on the RNG stream (spec.seed, label, j), so no
+    row depends on the thread count.  rescale of the empirical potential
+    measure nu-hat is built once under a Fixed potential and once per draw
+    otherwise; without rescale it is None."""
+    fixed = rescale is not None and isinstance(spec.potential, ens.Fixed)
+    shared = rescale(ms.empirical_from_values(spec.potential.values)) if fixed else None
+
+    def one(j: int) -> tuple:
+        h, v = ens.sample_deformed(spec, rngstream.stream(spec.seed, label, j))
+        aux = shared if fixed or rescale is None else rescale(ms.empirical_from_values(v))
+        return ens._top_eigenvalues(h, k), aux
+
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        return list(pool.map(one, range(n_samples)))
+
+
 _RIG_ETA = 1e-7
 _RIG_PAD = 1e-3
 _RIG_POINTS = 2001
-
-
-def _scaling_and_locations(nu_hat: ms.Measure, lam0: float, n: int,
-                           k_max: int) -> tuple[es.EdgeScaling, np.ndarray]:
-    sc = es.build(nu_hat, lam0)
-    sol = fc.solve_grid(nu_hat, lam0, sc.gamma,
-                        sc.gamma * sc.e_minus - _RIG_PAD, sc.l_plus + _RIG_PAD,
-                        _RIG_POINTS, _RIG_ETA)
-    gam = classical_locations(sol, n, list(range(1, k_max + 1)))
-    return sc, np.asarray(gam)
 
 
 def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
@@ -298,20 +308,17 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
     ks = np.arange(1, k_max + 1)
     khat = np.minimum(ks, n - ks)
     pref = n ** (2.0 / 3.0) * khat ** (1.0 / 3.0)
-    # the rescaled law depends on the sample only through nu-hat, so the
-    # grid solve is shared whenever the potential draw is degenerate
-    shared = isinstance(spec.potential, ens.Fixed) or spec.lam0 == 0.0
-    cached = None
-    stats = np.empty((n_samples, k_max))
-    for j in range(n_samples):
-        rng = rngstream.stream(spec.seed, "rigidity", j)
-        h, v = ens.sample_deformed(spec, rng)
-        if cached is None or not shared:
-            cached = _scaling_and_locations(
-                ms.empirical_from_values(v), spec.lam0, n, k_max)
-        sc, gam = cached
-        mu = sc.gamma * ens._top_eigenvalues(h, k_max)
-        stats[j] = pref * np.abs(mu - gam)
+
+    # a function of nu-hat alone, so solved once under a Fixed potential
+    def locations(nu_hat):
+        sc = es.build(nu_hat, spec.lam0)
+        sol = fc.solve_grid(nu_hat, spec.lam0, sc.gamma,
+                            sc.gamma * sc.e_minus - _RIG_PAD,
+                            sc.l_plus + _RIG_PAD, _RIG_POINTS, _RIG_ETA)
+        return sc.gamma, np.asarray(classical_locations(sol, n, ks))
+
+    stats = np.array([pref * np.abs(gamma * mu - gam) for mu, (gamma, gam)
+                      in _top_draws(spec, "rigidity", n_samples, k_max, locations)])
     med = np.median(stats, axis=0)
     p95 = np.quantile(stats, 0.95, axis=0)
     thr = n ** 0.2
@@ -327,24 +334,15 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
 
 @dataclass(frozen=True)
 class MCRunResult:
-    """Rescaled edge samples plus the per-sample scaling constants.
-
-    samples has shape (n_samples,) for top_k = 1 and (n_samples, top_k)
-    otherwise, rows descending; ks is the distance of the first marginal
-    to TW1.  e_plus and gamma0 hold the per-sample constants (recomputed
-    from each potential draw; constant columns under a Fixed potential).
-    """
-    spec: ens.EnsembleSpec
-    n_samples: int
+    """Rescaled edge samples, shape (n_samples, top_k) with rows descending,
+    the per-sample constants e_plus and gamma0 (recomputed from each
+    potential draw, constant under a Fixed potential), and ks, the distance
+    of the first column to TW1."""
     samples: np.ndarray
     e_plus: np.ndarray
     gamma0: np.ndarray
     ks: float
     runtime: float
-
-    def __post_init__(self):
-        if len(self.samples) != self.n_samples:
-            raise ValueError("sample count does not match n_samples")
 
 
 def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
@@ -353,9 +351,10 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
 
     Each sample draws its own potential, rebuilds (gamma0, E-plus-hat)
     from the empirical potential measure, and emits
-    gamma0 N^{2/3} (mu_j - E-plus-hat) for j <= top_k.  Sample j uses the
-    RNG stream (spec.seed, "mc_edge", j), so the output is byte-identical
-    for any thread count.
+    gamma0 N^{2/3} (mu_j - E-plus-hat) for j <= top_k, one row of an
+    (n_samples, top_k) array.  Sample j uses the RNG stream
+    (spec.seed, "mc_edge", j), so the output is byte-identical for any
+    thread count.
     """
     _check_n_samples(n_samples)
     if not 1 <= top_k <= spec.N:
@@ -364,36 +363,13 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
         raise ValueError(f"need an integer parallel >= 1, got {parallel!r}")
     t0 = time.perf_counter()
     n23 = spec.N ** (2.0 / 3.0)
-    fixed_sc = None
-    if isinstance(spec.potential, ens.Fixed):
-        fixed_sc = es.build(
-            ms.empirical_from_values(spec.potential.values), spec.lam0)
-
-    def one(j: int) -> tuple[float, float, np.ndarray]:
-        rng = rngstream.stream(spec.seed, "mc_edge", j)
-        h, v = ens.sample_deformed(spec, rng)
-        sc = fixed_sc
-        if sc is None:
-            sc = es.build(ms.empirical_from_values(v), spec.lam0)
-        mu = ens._top_eigenvalues(h, top_k)
-        return sc.e_plus, sc.gamma, sc.gamma * n23 * (mu - sc.e_plus)
-
-    if parallel == 1:
-        rows = [one(j) for j in range(n_samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(one, range(n_samples)))
-    e_plus = np.array([r[0] for r in rows])
-    gamma0 = np.array([r[1] for r in rows])
-    samples = np.array([r[2] for r in rows])
-    if top_k == 1:
-        samples = samples[:, 0]
-        first = samples
-    else:
-        first = samples[:, 0]
-    ks = ks_statistic(first, LimitLaw(TW1))
-    return MCRunResult(spec=spec, n_samples=n_samples, samples=samples,
-                       e_plus=e_plus, gamma0=gamma0, ks=ks,
+    rows = _top_draws(spec, "mc_edge", n_samples, top_k,
+                      lambda nu_hat: es.build(nu_hat, spec.lam0), parallel)
+    samples = np.array([sc.gamma * n23 * (mu - sc.e_plus) for mu, sc in rows])
+    return MCRunResult(samples=samples,
+                       e_plus=np.array([sc.e_plus for _, sc in rows]),
+                       gamma0=np.array([sc.gamma for _, sc in rows]),
+                       ks=ks_statistic(samples[:, 0], LimitLaw(TW1)),
                        runtime=time.perf_counter() - t0)
 
 
@@ -438,7 +414,6 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
         case = _regime_case(delta)
         sc = es.build(nu, lam0)
         e_plus = sc.e_plus
-        stats = np.empty(n_samples)
         if case == "iii":
             if lam0 <= 0.0:
                 raise ValueError("case iii needs sigma0 > 0")
@@ -447,6 +422,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             sigma2 = (1.0 - m_edge ** 2) / lam0 ** 2
             law = LimitLaw(GAUSS, sigma2)
             pref = math.sqrt(n) / lam0
+            stats = np.empty(n_samples)
             for j in range(n_samples):
                 rng = rngstream.stream(seed, f"regime{n}", j)
                 vhat = ms.empirical_from_values(ms.sample(nu, n, rng))
@@ -463,11 +439,8 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
                                     c2=ens.edge_matched_c2(ens.GAUSSIAN),
                                     zero_diagonal=False, seed=seed)
             pref = n ** (2.0 / 3.0)
-            for j in range(n_samples):
-                rng = rngstream.stream(seed, f"regime{n}", j)
-                h, _ = ens.sample_deformed(spec, rng)
-                mu1 = ens._top_eigenvalues(h, 1)[0]
-                stats[j] = pref * (mu1 - e_plus)
+            stats = np.array([pref * (mu[0] - e_plus) for mu, _ in
+                              _top_draws(spec, f"regime{n}", n_samples, 1)])
         out.append({
             "N": n, "lam0": lam0, "case": case, "law": law,
             "n_samples": n_samples, "e_plus": e_plus,

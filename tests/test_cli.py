@@ -94,6 +94,30 @@ def test_fc_solve_records_newton_iterations(capsys):
     assert summary["iterations"] == sol.iterations >= 1
 
 
+def test_fc_solve_csv_round_trip(tmp_path):
+    # repr-formatted floats read back exactly
+    out = tmp_path / "fc"
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "0.5", "--lo", "-2.5",
+               "--hi", "2.5", "--points", "101", "--eta", "1e-4",
+               "--out", str(out)) == 0
+    csv = out.with_suffix(".csv").read_text().splitlines()
+    assert csv[0] == "E,re_m,im_m,density" and len(csv) == 102
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    sol = fc.solve_grid(ms.from_json(json.loads(TWO_ATOM)), 0.5, 1.0,
+                        -2.5, 2.5, 101, 1e-4)
+    np.testing.assert_array_equal(rows[:, 0], sol.grid)
+    np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], sol.m)
+    np.testing.assert_array_equal(rows[:, 3], sol.density)
+
+
+def test_fc_solve_jacobi_with_far_complex_poles(capsys):
+    # the Newton solve meets poles near i sqrt(3) lam, where scipy's hyp2f1
+    # is wrong; this run used to exit 1 with no convergence
+    assert run("fc-solve", "--measure", '{"type":"jacobi","a":1,"b":1}',
+               "--lam", "0.5") == 0
+    assert json.loads(capsys.readouterr().out)["mass"] == pytest.approx(1.0, abs=1e-3)
+
+
 def test_fc_solve_malformed_measure_exits_2(tmp_path, capsys):
     assert run("fc-solve", "--measure", '{"type":"jacobi","a":0.5}') == 2
     assert "measure.b" in capsys.readouterr().err
@@ -161,11 +185,15 @@ def test_sample_csv_and_binary_agree(tmp_path):
     bin_path = tmp_path / "s.bin"
     assert run(*args, "--format", "csv", "--out", str(csv_path)) == 0
     assert run(*args, "--format", "binary", "--out", str(bin_path)) == 0
-    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "sample_index,k,mu_k"
+    assert lines[1].split(",")[:2] == ["0", "1"]
+    rows = np.loadtxt(lines, delimiter=",", skiprows=1)
     assert rows.shape == (120, 3)
     from_bin = ens.read_spectra_binary(str(bin_path))
     assert from_bin.shape == (3, 40)
-    assert np.allclose(rows[:40, 2], from_bin[0])
+    # the CSV's repr floats read back to the binary file's bits
+    np.testing.assert_array_equal(rows[:, 2], from_bin.ravel())
 
 
 @pytest.mark.parametrize("cfg", [{}, {"format": "xml", "out": "s.bin"}])
@@ -191,7 +219,8 @@ def test_sample_accepts_matched_c2(tmp_path):
 # Ensemble values: a rejected value exits 2 with a message, never a traceback.
 
 BAD_ENSEMBLE = [("N", 1), ("lam0", -1.0), ("c2", -2.0), ("law", "cauchy"),
-                ("lam0", float("nan")), ("c2", float("inf"))]
+                ("lam0", float("nan")), ("c2", float("inf")),
+                ("zero_diagonal", 5), ("zero_diagonal", -3)]
 
 
 @pytest.mark.parametrize("command", ["sample", "mc-edge", "dbm"])
@@ -201,7 +230,7 @@ def test_bad_ensemble_value_exits_2(tmp_path, capsys, command, source,
                                     key, value):
     argv = [command, "--out", str(tmp_path / "o")]
     if source == "flag":
-        argv += ["--" + key, str(value)]
+        argv += ["--" + key.replace("_", "-"), str(value)]
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -281,12 +310,18 @@ WRITERS = [["fc-solve", "--points", "11"], ["edge-scaling"], ["sample", "--N", "
 
 
 @pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
-def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv):
-    # a missing directory ended in a FileNotFoundError traceback, exit 1
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, monkeypatch,
+                                               argv):
+    # a missing directory ended in a FileNotFoundError traceback, exit 1,
+    # and mc-edge, regime and dbm drew every sample before the write failed
+    calls, draw = [], ens.sample_deformed
+    monkeypatch.setattr(ens, "sample_deformed",
+                        lambda *a: calls.append(a) or draw(*a))
     out = tmp_path / "missing" / "o"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(out) in err
+    assert calls == []
 
 
 def test_emit_refuses_nan_before_writing(tmp_path):
@@ -473,7 +508,7 @@ def _flag_value(action, default):
         return [], action.const
     if action.choices:
         pick = next(c for c in action.choices if c != default)
-        return [pick], pick
+        return [str(pick)], pick
     convert = action.type or str
     word = "x" if convert is str else "7" if convert is cli._int_arg else "0.25"
     if action.nargs == "+":

@@ -313,13 +313,6 @@ def test_spectra_files_round_trip(tmp_path):
     assert data.shape == (3, 20)
     for i in range(3):
         np.testing.assert_array_equal(data[i], spectra[i])
-    c = tmp_path / "spectra.csv"
-    en.write_spectra_csv(str(c), spectra)
-    lines = c.read_text().splitlines()
-    assert lines[0] == "sample_index,k,mu_k"
-    assert len(lines) == 1 + 3 * 20
-    idx, k, mu = lines[1].split(",")
-    assert (idx, k) == ("0", "1") and float(mu) == spectra[0, 0]
 
 
 @settings(max_examples=25)

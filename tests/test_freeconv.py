@@ -8,7 +8,6 @@ Frozen values and their independent routes:
   theta^2 = ((2 lam^2 + 1) + sqrt(8 lam^2 + 1))/2, E+ = theta + theta/(theta^2 - lam^2).
 """
 
-import io
 import warnings
 
 import numpy as np
@@ -17,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dwedge.freeconv as fc
 import dwedge.measure as ms
+import jacobi_reference as ref
 from dwedge.rngstream import stream
 
 D0 = ms.Atomic(np.array([0.0]), np.array([1.0]))
@@ -373,16 +373,12 @@ def test_edge_fit_requires_points():
         fc.edge_exponent_fit(sol)
 
 
-def test_solution_serialization_round_trip():
-    sol = fc.solve_grid(TWO, 0.5, 1.0, -2.5, 2.5, 101, 1e-4)
-    csv = fc.solution_to_csv(sol)
-    assert csv.splitlines()[0] == "E,re_m,im_m,density"
-    assert len(csv.splitlines()) == 102
-    # repr-formatted floats read back exactly
-    rows = np.loadtxt(io.StringIO(csv), delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(rows[:, 0], sol.grid)
-    np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], sol.m)
-    np.testing.assert_array_equal(rows[:, 3], sol.density)
+@pytest.mark.parametrize("lam", [0.52, 0.55, 0.6])
+def test_solve_point_jacobi_meets_its_true_residual(lam):
+    # the Newton solve passes poles near i sqrt(3) lam, where scipy's hyp2f1
+    # is wrong; it used to stop at m = i with a true residual near 5e-2
+    m = fc.solve_point(ms.Jacobi(1.0, 1.0), lam, 1.0, 1e-5j)
+    assert abs(m - complex(ref.deformed_power(1.0, 1.0, lam, 1e-5j + m, 1))) < 1e-12
 
 
 @st.composite

@@ -109,11 +109,15 @@ JACOBI_LAWS = [(1.0, 1.0), (2.0, 2.0), (0.5, 0.5), (-0.4, 0.7)]
 # above its interior
 NEAR_POLES = [(1.0, 1 + 1e-4 + 1e-4j), (0.8, -0.8 - 1e-3 + 1e-3j),
               (1.0, 0.3 + 1e-2j), (0.7, -0.2 + 1e-4j), (1.0, 0.999 + 1e-3j)]
+# (scale, pole) near pole = i sqrt(3) scale, where scipy's complex hyp2f1
+# (x = 2 scale / (pole + scale) near exp(-i pi/3)) loses its digits
+FAR_POLES = [(0.5, 0.8j), (0.5, 0.5j * 3 ** 0.5), (1.0, 0.3 + 1.6j),
+             (0.7, -0.5 + 1.1j)]
 
 
 @pytest.mark.parametrize("a,b", JACOBI_LAWS)
 def test_jacobi_deformed_power_near_the_support(a, b):
-    for scale, pole in NEAR_POLES:
+    for scale, pole in NEAR_POLES + FAR_POLES:
         for n in (1, 2, 3):
             for weight in (0, 1):
                 got = ms.deformed_power(ms.Jacobi(a, b), scale, pole, n, weight)
