@@ -8,8 +8,8 @@ seed, and a schema version: a summary file is a complete recipe for
 reproducing its own run.
 
 All randomness flows from the 64-bit master seed through named counter
-streams (see rngstream), so outputs are independent of worker count and
-scheduling.
+streams: every sampled command maps its per-sample function through
+rngstream.draws, so outputs are independent of worker count and scheduling.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error or an
 unwritable output, 3 verification-suite failure.
@@ -79,7 +79,7 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
 
 
 def _from_file(key: str, val):
-    """A config-file value through the type and choices of its flag."""
+    """A config-file value through the type, choices or switch of its flag."""
     opts = _FLAGS[key]
     convert = opts.get("type", lambda x: x)
     try:
@@ -91,6 +91,8 @@ def _from_file(key: str, val):
             raise ValueError(f"expected a nonempty list, got {val!r}")
         if "choices" in opts and val not in opts["choices"]:
             raise ValueError(f"expected one of {opts['choices']}, got {val!r}")
+        if "const" in opts and not isinstance(val, bool):
+            raise ValueError(f"expected true or false, got {val!r}")
     except (TypeError, ValueError, OverflowError,
             argparse.ArgumentTypeError) as e:
         raise ConfigError(f"config.{key}: {e}") from e
@@ -244,10 +246,10 @@ def cmd_sample(cfg: dict) -> int:
     if cfg["n"] < 0:
         raise ConfigError(f"sample: need --n >= 0, got {cfg['n']}")
     spec = _spec_from_cfg(cfg)
-    spectra = np.empty((cfg["n"], spec.N))
-    for j in range(spectra.shape[0]):
-        rng = rngstream.stream(spec.seed, "sample", j)
-        spectra[j] = ens.eigenvalues(ens.sample_deformed(spec, rng)[0])
+    spectra = np.reshape(rngstream.draws(
+        spec.seed, "sample", range(cfg["n"]),
+        lambda rng: ens.eigenvalues(ens.sample_deformed(spec, rng)[0])),
+        (cfg["n"], spec.N))
     if cfg["format"] == "binary":
         ens.write_spectra_binary(cfg["out"], spectra)
     else:
@@ -314,31 +316,26 @@ def cmd_dbm(cfg: dict) -> int:
         raise ConfigError(f"dbm: need --n >= 1, got {cfg['n']}")
     times = dbm.flow_times(cfg["times"])
     spec = _spec_from_cfg(cfg)
-    rows = []
-    values = {t: [] for t in times}
-    for j in range(cfg["n"]):
-        rng = rngstream.stream(spec.seed, "dbm", j)
+
+    def trajectory(rng) -> list:
         if cfg["observable"] == "m-edge":
             # value = Im m(t, z(t)) of the rescaled flow at the moving edge
-            series = ((t, m.imag)
-                      for t, m in dbm.flow_edge_track(spec, times, rng))
-        else:
-            h0, _ = ens.sample_deformed(spec, rng)
-            series = ((t, ens.eigenvalues(h, top=1)[0])
-                      for t, h in dbm.flow(h0, times, rng))
-        for t, value in series:
-            rows.append((j, t, value))
-            values[t].append(value)
+            return [m.imag for _, m in dbm.flow_edge_track(spec, times, rng)]
+        h0, _ = ens.sample_deformed(spec, rng)
+        return [ens.eigenvalues(h, top=1)[0] for _, h in dbm.flow(h0, times, rng)]
+
+    # one row per trajectory, one column per time
+    values = np.array(rngstream.draws(spec.seed, "dbm", range(cfg["n"]), trajectory))
     cfg = dict(cfg, times=times, c2=spec.c2,
                potential=ens.potential_to_json(spec.potential))
     per_time = {str(t): {"mean": float(np.mean(v)), "sd": float(np.std(v))}
-                for t, v in values.items()}
+                for t, v in zip(times, values.T)}
     extra = {"per_time": per_time}
     if len(times) > 1:
-        extra["ks_first_last"] = dbm.ks_two_sample(values[times[0]],
-                                                   values[times[-1]])
+        extra["ks_first_last"] = dbm.ks_two_sample(values[:, 0], values[:, -1])
     _emit(_summary("dbm", cfg, **extra), cfg["out"],
-          _csv("trajectory,t,value", rows))
+          _csv("trajectory,t,value", ((j, t, value) for j, row in enumerate(values)
+                                      for t, value in zip(times, row))))
     return 0
 
 
@@ -357,41 +354,37 @@ def _quantiles(xs) -> dict:
 
 
 def _verify_identities(seed: int, n_runs: int) -> dict:
-    worst = []
-    for j in range(n_runs):
-        rng = rngstream.stream(seed, "vfyid", j)
+    def worst(rng) -> float:
         n = 25
         h = ens.sample_wigner(n, ens.GAUSSIAN, 1.0, rng, zero_diagonal=False)
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.01, 1.0))
-        i, jj, k = rng.choice(n, size=3, replace=False)
-        res = rv.verify_identities(h, z, int(i), int(jj), int(k))
-        worst.append(max(res.values()))
-    q = _quantiles(worst)
+        i, j, k = rng.choice(n, size=3, replace=False)
+        return max(rv.verify_identities(h, z, int(i), int(j), int(k)).values())
+
+    q = _quantiles(rngstream.draws(seed, "vfyid", range(n_runs), worst))
     return {"suite": "identities", "runs": n_runs, "residuals": q,
             "threshold": _VERIFY_IDENTITY_GATE,
             "pass": bool(q["max"] < _VERIFY_IDENTITY_GATE)}
 
 
+def _alternating(n: int, lam0: float, seed: int):
+    """The spec of the +-1 Fixed potential and its edge scaling."""
+    pot = np.tile([1.0, -1.0], n // 2)
+    spec = ens.EnsembleSpec(N=n, lam0=lam0, potential=ens.Fixed(pot), seed=seed)
+    return spec, es.build(ms.empirical_from_values(pot), lam0)
+
+
 def _verify_local_law(seed: int, n_runs: int) -> dict:
-    nu = ms.from_json(TWO_ATOM)
     n = 200
-    lam0 = 0.5
-    spec = ens.EnsembleSpec(N=n, lam0=lam0,
-                            potential=ens.Fixed(np.tile([1.0, -1.0], n // 2)),
-                            seed=seed)
-    scaling = es.build(ms.empirical_from_values(np.tile([1.0, -1.0], n // 2)),
-                       lam0)
+    spec, scaling = _alternating(n, 0.5, seed)
     bound = n ** _VERIFY_LL_BOUND_EXP
-    eta = n ** (-2.0 / 3.0)
-    z = scaling.l_plus + 1j * eta
-    rows = []
-    for j in range(n_runs):
-        rng = rngstream.stream(seed, "vfyll", j)
+    z = scaling.l_plus + 1j * n ** (-2.0 / 3.0)
+
+    def residuals(rng) -> tuple:
         h, v = ens.sample_deformed(spec, rng)
-        r_m, r_off, r_diag, _ = rv.local_law_residuals(h, scaling, z,
-                                                       potential=v)
-        rows.append((r_m, r_off, r_diag))
-    arr = np.asarray(rows)
+        return rv.local_law_residuals(h, scaling, z, potential=v)[:3]
+
+    arr = np.asarray(rngstream.draws(seed, "vfyll", range(n_runs), residuals))
     ok = np.all(arr < bound, axis=1)
     frac = float(np.mean(ok))
     return {"suite": "local-law", "runs": n_runs, "bound": float(bound),
@@ -399,7 +392,7 @@ def _verify_local_law(seed: int, n_runs: int) -> dict:
             "residuals": {name: _quantiles(arr[:, col]) for col, name in
                           enumerate(("r_m", "r_offdiag", "r_diag"))},
             "pass": bool(frac >= _VERIFY_LL_PASS_FRACTION),
-            "nu": ms.to_json(nu)}
+            "nu": TWO_ATOM}
 
 
 def _verify_optical(seed: int, n_runs: int) -> dict:
@@ -407,17 +400,15 @@ def _verify_optical(seed: int, n_runs: int) -> dict:
     sizes = (100, 200, 400)
     medians = []
     for n in sizes:
-        vals = []
-        pot = np.tile([1.0, -1.0], n // 2)
-        spec = ens.EnsembleSpec(N=n, lam0=lam0, potential=ens.Fixed(pot),
-                                seed=seed)
-        scaling = es.build(ms.empirical_from_values(pot), lam0)
+        spec, scaling = _alternating(n, lam0, seed)
         eta = n ** (-2.0 / 3.0 - 0.05)
-        for j in range(n_runs):
-            rng = rngstream.stream(seed, "vfyopt", n * 1000 + j)
+
+        def window(rng) -> float:
             h, v = ens.sample_deformed(spec, rng)
-            vals.append(abs(rv.optical_window(h, scaling, eta, potential=v)))
-        medians.append(float(np.median(vals)))
+            return abs(rv.optical_window(h, scaling, eta, potential=v))
+
+        medians.append(float(np.median(rngstream.draws(
+            seed, "vfyopt", range(n * 1000, n * 1000 + n_runs), window))))
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
     lo, hi = _VERIFY_OPT_SLOPE_BAND
     return {"suite": "optical", "runs_per_size": n_runs,
@@ -468,7 +459,7 @@ def _finite_float(raw) -> float:
         val = float(raw)
     except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
-    if not np.isfinite(val):
+    if isinstance(raw, bool) or not np.isfinite(val):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
     return val
 

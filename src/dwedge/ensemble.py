@@ -16,9 +16,9 @@ the tests against an independent high-precision oracle at N = 50.
 Checks live at the two entries: eigenvalues() checks any matrix it is given
 (square, finite, symmetric) and never modifies it, and sample_deformed()
 checks the one part of its output that can be non-finite, the diagonal.  The
-Monte Carlo draw loop, which discards each sampled matrix after its solve,
-calls _top_eigenvalues() on it directly: no second validation pass, and
-LAPACK overwrites the matrix in place instead of working on a copy.
+Monte Carlo draw loop, twstats._top_draws over rngstream.draws, solves each
+sampled matrix with _top_eigenvalues() and discards it: no second validation
+pass, and LAPACK works on the matrix in place, not on a copy.
 """
 
 from __future__ import annotations

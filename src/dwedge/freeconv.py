@@ -111,9 +111,10 @@ def _maps(nu, lam, gamma, z, m):
 
 def _solve_many(nu, lam, gamma, z):
     """Vectorized Newton solve from m = i; returns m and the steps taken."""
-    for name, val in (("lam", lam), ("gamma", gamma)):
-        if not abs(val) < np.inf:
-            raise ValueError(f"need a finite {name}, got {val}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"need a finite lam >= 0, got {lam}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"need a finite gamma > 0, got {gamma}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(z.shape, dtype=complex)
     idx = np.arange(z.size)

@@ -31,7 +31,6 @@ import math
 import numbers
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,20 +270,19 @@ def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
                rescale=None, parallel: int = 1) -> list:
     """(top k eigenvalues, rescale(nu-hat)) per draw, in sample order.
 
-    Sample j draws (H, V) on the RNG stream (spec.seed, label, j), so no
-    row depends on the thread count.  rescale of the empirical potential
-    measure nu-hat is built once under a Fixed potential and once per draw
-    otherwise; without rescale it is None."""
+    Sample j draws (H, V) through rngstream.draws on the stream
+    (spec.seed, label, j), so no row depends on the thread count.  rescale
+    of the empirical potential measure nu-hat is built once under a Fixed
+    potential and once per draw otherwise; without rescale it is None."""
     fixed = rescale is not None and isinstance(spec.potential, ens.Fixed)
     shared = rescale(ms.empirical_from_values(spec.potential.values)) if fixed else None
 
-    def one(j: int) -> tuple:
-        h, v = ens.sample_deformed(spec, rngstream.stream(spec.seed, label, j))
+    def one(rng) -> tuple:
+        h, v = ens.sample_deformed(spec, rng)
         aux = shared if fixed or rescale is None else rescale(ms.empirical_from_values(v))
         return ens._top_eigenvalues(h, k), aux
 
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(one, range(n_samples)))
+    return rngstream.draws(spec.seed, label, range(n_samples), one, parallel)
 
 
 _RIG_ETA = 1e-7
@@ -359,8 +357,6 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
     _check_n_samples(n_samples)
     if not 1 <= top_k <= spec.N:
         raise ValueError(f"need 1 <= top_k <= N = {spec.N}")
-    if not (isinstance(parallel, numbers.Integral) and parallel >= 1):
-        raise ValueError(f"need an integer parallel >= 1, got {parallel!r}")
     t0 = time.perf_counter()
     n23 = spec.N ** (2.0 / 3.0)
     rows = _top_draws(spec, "mc_edge", n_samples, top_k,
@@ -422,11 +418,9 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             sigma2 = (1.0 - m_edge ** 2) / lam0 ** 2
             law = LimitLaw(GAUSS, sigma2)
             pref = math.sqrt(n) / lam0
-            stats = np.empty(n_samples)
-            for j in range(n_samples):
-                rng = rngstream.stream(seed, f"regime{n}", j)
-                vhat = ms.empirical_from_values(ms.sample(nu, n, rng))
-                stats[j] = pref * (es.build(vhat, lam0).e_plus - e_plus)
+            e_hat = rngstream.draws(seed, f"regime{n}", range(n_samples), lambda rng: es.build(
+                ms.empirical_from_values(ms.sample(nu, n, rng)), lam0).e_plus)
+            stats = pref * (np.array(e_hat) - e_plus)
         else:
             if case == "ii":
                 law = LimitLaw(TW1_GAUSS_CONV,

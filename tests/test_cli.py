@@ -21,6 +21,7 @@ from dwedge import ensemble as ens
 from dwedge import freeconv as fc
 from dwedge import measure as ms
 from dwedge import twstats as tw
+from dwedge.rngstream import stream
 
 TWO_ATOM = '{"type":"atomic","atoms":[[-1.0,0.5],[1.0,0.5]]}'
 
@@ -194,6 +195,11 @@ def test_sample_csv_and_binary_agree(tmp_path):
     assert from_bin.shape == (3, 40)
     # the CSV's repr floats read back to the binary file's bits
     np.testing.assert_array_equal(rows[:, 2], from_bin.ravel())
+    # row j is the spectrum drawn on the stream (seed, "sample", j)
+    spec = cli._spec_from_cfg(dict(cli.SAMPLE_DEFAULTS, N=40, seed=5))
+    for j, row in enumerate(from_bin):
+        h, _ = ens.sample_deformed(spec, stream(5, "sample", j))
+        np.testing.assert_array_equal(row, ens.eigenvalues(h))
 
 
 @pytest.mark.parametrize("cfg", [{}, {"format": "xml", "out": "s.bin"}])
@@ -251,6 +257,14 @@ BAD_VALUES = [
     ("fc-solve", [], {"measure": [1, 2]}), ("verify", [], {"seeds": "x"}),
     ("mc-edge", [], {"N": float("inf")}), ("mc-edge", [], {"N": 60.9}),
     ("dbm", [], {"zero_diagonal": 0.5}), ("sample", [], {"out": 5}),
+    # given --lo/--hi, fc-solve skipped the only lam check and reported the
+    # semicircle's support; gamma -1 reported it reversed
+    ("fc-solve", ["--measure", '{"type":"atomic","atoms":[[-1,0.2],[2,0.8]]}',
+                  "--lam", "-0.5", "--lo", "-4", "--hi", "4"], None),
+    ("fc-solve", ["--gamma", "-1", "--lo", "-3", "--hi", "3"], None),
+    # a switch took any JSON value, and a float key took a boolean as 1.0
+    ("fc-solve", [], {"extrapolate": "no"}), ("fc-solve", [], {"extrapolate": []}),
+    ("fc-solve", [], {"lam": True}),
 ]
 
 
@@ -347,19 +361,44 @@ def test_mc_edge_rerun_is_byte_identical(tmp_path):
     assert summary["config"]["c2"] == 1.0  # matched diagonal resolved
 
 
-def test_mc_edge_replays_its_own_summary_with_iid_potential(tmp_path):
+# one run of each command that writes a summary, and of both dbm observables
+REPLAYS = {
+    "fc-solve": ["fc-solve", "--measure", TWO_ATOM, "--lam", "0.5", "--points", "41"],
+    "edge-scaling": ["edge-scaling"],
+    "regime": ["regime", "--sizes", "20", "30", "--n", "3"],
+    "dbm-edge": ["dbm", "--N", "10", "--n", "2", "--times", "0", "0.5"],
+    "dbm-m-edge": ["dbm", "--N", "10", "--n", "2", "--observable", "m-edge",
+                   "--lam0", "0.3", "--potential", TWO_ATOM],
+    "verify": ["verify", "--suite", "identities", "--seeds", "2"],
+    "tw-table": ["tw-table", "--step", "1"],
+    "mc-edge": ["mc-edge", "--n", "5", "--N", "40", "--lam0", "0.5",
+                "--potential", TWO_ATOM],
+}
+
+
+@pytest.mark.parametrize("argv", REPLAYS.values(), ids=REPLAYS.keys())
+def test_every_summary_replays(tmp_path, argv):
+    # a summary is a complete recipe: its recorded config, replayed through
+    # --config, gives the same CSV bytes and the same JSON but for runtime
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run("mc-edge", "--n", "5", "--N", "40", "--lam0", "0.5",
-               "--potential", TWO_ATOM, "--out", str(a)) == 0
+    assert run(*argv, "--out", str(a)) == 0
     recorded = json.loads(a.with_suffix(".json").read_text())["config"]
     cfg = tmp_path / "replay.json"
     cfg.write_text(json.dumps(recorded))
-    assert run("mc-edge", "--config", str(cfg), "--out", str(b)) == 0
-    assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
-    # the recorded potential also works as the flag value
-    assert run("mc-edge", "--n", "5", "--N", "40", "--lam0", "0.5", "--potential",
-               json.dumps(recorded["potential"]), "--out", str(b)) == 0
-    assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+    replays = [[argv[0], "--config", str(cfg)]]
+    if "potential" in recorded:
+        # the recorded potential also works as the flag value
+        replays.append([*argv, "--potential", json.dumps(recorded["potential"])])
+    for replay in replays:
+        assert run(*replay, "--out", str(b)) == 0
+        assert a.with_suffix(".csv").exists() == b.with_suffix(".csv").exists()
+        if a.with_suffix(".csv").exists():
+            assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+        first, again = (json.loads(p.with_suffix(".json").read_text()) for p in (a, b))
+        for summary in (first, again):
+            summary.pop("runtime", None)
+            summary["config"].pop("out")
+        assert first == again
 
 
 def test_mc_edge_flags_override_config(tmp_path, capsys):

@@ -320,8 +320,10 @@ def test_coupling_range_checks_refuse_nan_and_inf(bad):
         fc.asymptotic_eplus(TWO, bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["lam", "gamma"])
+@pytest.mark.parametrize("name,bad", [
+    *((name, bad) for name in ("lam", "gamma") for bad in (np.nan, np.inf, -0.5)),
+    ("gamma", 0.0),
+])
 @pytest.mark.parametrize("solve", [
     lambda lam, gamma: fc.solve_point(TWO, lam, gamma, 1.0 + 1e-3j),
     lambda lam, gamma: fc.solve_grid(TWO, lam, gamma, -3.0, 3.0, 11, 1e-3),
@@ -329,7 +331,8 @@ def test_coupling_range_checks_refuse_nan_and_inf(bad):
 ], ids=["solve_point", "solve_grid", "density_at"])
 def test_newton_solves_refuse_a_non_finite_coupling(solve, name, bad):
     # a bad coupling is a config error, caught before the first Newton step,
-    # not a numerical failure reported after the last one
+    # not a numerical failure reported after the last one; a negative lam
+    # passed for the semicircle, and a gamma <= 0 reversed the support
     with pytest.raises(ValueError, match=f"finite {name}"):
         solve(**{"lam": 0.5, "gamma": 1.0, name: bad})
 
