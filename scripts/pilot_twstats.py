@@ -28,7 +28,7 @@ def main():
         spec = ens.EnsembleSpec(N=500, lam0=0.5, potential=ens.IIDFrom(NU),
                                 law=law, c2=ens.edge_matched_c2(law),
                                 zero_diagonal=False, seed=seed)
-        r = tw.mc_edge(spec, 2000, parallel=1)
+        r = tw.mc_edge(spec, 2000)
         print(f"mc_edge N=500 lam0=0.5 {law} seed={seed}: ks={r.ks:.4f} "
               f"({r.runtime:.0f}s)", flush=True)
 
@@ -78,7 +78,7 @@ def main():
     spec = ens.EnsembleSpec(N=300, lam0=0.0,
                             potential=ens.Fixed(np.zeros(300)),
                             c2=1.0, zero_diagonal=False, seed=31)
-    r = tw.mc_edge(spec, 500, parallel=2)
+    r = tw.mc_edge(spec, 500)
     print(f"unit mc_edge N=300 lam0=0 seed=31: ks={r.ks:.4f}")
 
     spec = ens.EnsembleSpec(N=250, lam0=0.0,

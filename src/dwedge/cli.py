@@ -9,7 +9,7 @@ reproducing its own run.
 
 All randomness flows from the 64-bit master seed through named counter
 streams: every sampled command maps its per-sample function through
-rngstream.draws, so outputs are independent of worker count and scheduling.
+rngstream.draws, so sample j's draws depend only on the seed and on j.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error or an
 unwritable output, 3 verification-suite failure.
@@ -269,8 +269,7 @@ MC_DEFAULTS = {
 
 def cmd_mc_edge(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    result = tw.mc_edge(spec, cfg["n"], top_k=cfg["top_k"],
-                        parallel=cfg["workers"])
+    result = tw.mc_edge(spec, cfg["n"], top_k=cfg["top_k"])
     cfg = dict(cfg, c2=spec.c2, potential=ens.potential_to_json(spec.potential))
     csv_text = _csv("sample," + ",".join(f"s{j + 1}" for j in range(cfg["top_k"])),
                     ((idx, *row) for idx, row in enumerate(result.samples)))
@@ -466,13 +465,18 @@ def _finite_float(raw) -> float:
 
 def _int_arg(raw) -> int:
     """The one converter of every integer flag and config value; a number
-    with a fractional part is refused, never truncated."""
-    if isinstance(raw, float) and not raw.is_integer():
+    with a fractional part, or a JSON boolean, is refused, never truncated."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+
+
+def _switch_arg(raw) -> int:
+    """An integer, or the JSON boolean a summary records for a switch."""
+    return int(raw) if isinstance(raw, bool) else _int_arg(raw)
 
 
 def _out_arg(raw) -> str:
@@ -512,13 +516,15 @@ _FLAGS = {
     "c2": {"type": _c2_arg,
            "help": "diagonal weight, or 'matched' for the edge-matched value "
                    "1 - s4"},
-    "zero_diagonal": {"type": _int_arg, "choices": [0, 1],
+    "zero_diagonal": {"type": _switch_arg, "choices": [0, 1],
                       "help": "1 to zero the diagonal, 0 for noisy diagonal"},
     "seed": {"type": _int_arg},
     "n": {"type": _int_arg, "help": "number of samples (dbm: of trajectories)"},
     "format": {"choices": ["csv", "binary"]},
     "top_k": {"type": _int_arg},
-    "workers": {"type": _int_arg, "help": "sample-level parallelism"},
+    "workers": {"type": _int_arg, "choices": [1],
+                "help": "samples run in one loop; the flag stays, at 1, so "
+                        "recorded runs and summaries replay"},
     "sigma0": {"type": _finite_float},
     "delta": {"type": _finite_float},
     "sizes": {"type": _int_arg, "nargs": "+", "metavar": "N"},

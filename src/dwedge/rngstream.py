@@ -2,16 +2,14 @@
 
 Every random draw in the package flows from a 64-bit master seed through
 a named stream: the (seed, purpose, index) triple is hashed to a 128-bit
-Philox key. Streams are therefore independent of scheduling order and of
-worker count, and any stream can be reconstructed in isolation. draws is
-the one place that hands sample j its stream and runs samples on threads.
+Philox key. Streams are therefore independent of the order samples are
+drawn in, and any stream can be reconstructed in isolation. draws is the
+one place that hands sample j its stream.
 """
 
 from __future__ import annotations
 
 import hashlib
-import numbers
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,11 +25,6 @@ def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draws(seed: int, purpose: str, indices, fn, workers: int = 1) -> list:
-    """[fn(stream(seed, purpose, j)) for j in indices], in index order, run on
-    `workers` threads: each call reads only its own stream."""
-    # a NaN worker count would start no thread and wait for ever
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValueError(f"need an integer number of parallel workers >= 1, got {workers!r}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda j: fn(stream(seed, purpose, j)), indices))
+def draws(seed: int, purpose: str, indices, fn) -> list:
+    """fn of the stream (seed, purpose, j) for each j of indices, in order."""
+    return [fn(stream(seed, purpose, j)) for j in indices]

@@ -267,12 +267,12 @@ def _check_n_samples(n_samples) -> None:
 
 
 def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
-               rescale=None, parallel: int = 1) -> list:
+               rescale=None) -> list:
     """(top k eigenvalues, rescale(nu-hat)) per draw, in sample order.
 
     Sample j draws (H, V) through rngstream.draws on the stream
-    (spec.seed, label, j), so no row depends on the thread count.  rescale
-    of the empirical potential measure nu-hat is built once under a Fixed
+    (spec.seed, label, j), so no row depends on another.  rescale of the
+    empirical potential measure nu-hat is built once under a Fixed
     potential and once per draw otherwise; without rescale it is None."""
     fixed = rescale is not None and isinstance(spec.potential, ens.Fixed)
     shared = rescale(ms.empirical_from_values(spec.potential.values)) if fixed else None
@@ -282,7 +282,7 @@ def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
         aux = shared if fixed or rescale is None else rescale(ms.empirical_from_values(v))
         return ens._top_eigenvalues(h, k), aux
 
-    return rngstream.draws(spec.seed, label, range(n_samples), one, parallel)
+    return rngstream.draws(spec.seed, label, range(n_samples), one)
 
 
 _RIG_ETA = 1e-7
@@ -343,16 +343,14 @@ class MCRunResult:
     runtime: float
 
 
-def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
-            parallel: int = 1) -> MCRunResult:
+def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1) -> MCRunResult:
     """Monte Carlo of the rescaled top eigenvalues.
 
     Each sample draws its own potential, rebuilds (gamma0, E-plus-hat)
     from the empirical potential measure, and emits
     gamma0 N^{2/3} (mu_j - E-plus-hat) for j <= top_k, one row of an
     (n_samples, top_k) array.  Sample j uses the RNG stream
-    (spec.seed, "mc_edge", j), so the output is byte-identical for any
-    thread count.
+    (spec.seed, "mc_edge", j), so a rerun is byte-identical.
     """
     _check_n_samples(n_samples)
     if not 1 <= top_k <= spec.N:
@@ -360,7 +358,7 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
     t0 = time.perf_counter()
     n23 = spec.N ** (2.0 / 3.0)
     rows = _top_draws(spec, "mc_edge", n_samples, top_k,
-                      lambda nu_hat: es.build(nu_hat, spec.lam0), parallel)
+                      lambda nu_hat: es.build(nu_hat, spec.lam0))
     samples = np.array([sc.gamma * n23 * (mu - sc.e_plus) for mu, sc in rows])
     return MCRunResult(samples=samples,
                        e_plus=np.array([sc.e_plus for _, sc in rows]),

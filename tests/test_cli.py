@@ -265,6 +265,9 @@ BAD_VALUES = [
     # a switch took any JSON value, and a float key took a boolean as 1.0
     ("fc-solve", [], {"extrapolate": "no"}), ("fc-solve", [], {"extrapolate": []}),
     ("fc-solve", [], {"lam": True}),
+    # an integer key took a boolean as 0 or 1
+    ("mc-edge", [], {"seed": True}), ("mc-edge", [], {"n": True}),
+    ("mc-edge", [], {"workers": True}),
 ]
 
 
@@ -399,6 +402,29 @@ def test_every_summary_replays(tmp_path, argv):
             summary.pop("runtime", None)
             summary["config"].pop("out")
         assert first == again
+
+
+def test_mc_edge_workers_takes_only_1(tmp_path, capsys):
+    # samples run in one loop; --workers stays so that recorded runs and
+    # summaries, which carry workers 1, still replay
+    argv = ["mc-edge", "--n", "5", "--N", "40", "--seed", "3"]
+    cfg = tmp_path / "cfg.json"
+
+    def output(*extra):
+        out = tmp_path / "o"
+        assert run(*argv, *extra, "--out", str(out)) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        summary.pop("runtime")
+        return out.with_suffix(".csv").read_bytes(), summary
+
+    plain = output()
+    assert output("--workers", "1") == plain
+    cfg.write_text('{"workers": 1}')
+    assert output("--config", str(cfg)) == plain
+    cfg.write_text('{"workers": 2}')
+    for extra in (["--workers", "2"], ["--config", str(cfg)]):
+        assert exit_code(*argv, *extra) == 2
+        assert "workers" in capsys.readouterr().err
 
 
 def test_mc_edge_flags_override_config(tmp_path, capsys):
@@ -542,11 +568,12 @@ def _subparser(name):
 
 
 def _flag_value(action, default):
-    """Command-line words for a value of this flag that differs from default."""
+    """Command-line words for a value of this flag that differs from default,
+    or for the default when it is the flag's only choice."""
     if action.nargs == 0:
         return [], action.const
     if action.choices:
-        pick = next(c for c in action.choices if c != default)
+        pick = next((c for c in action.choices if c != default), default)
         return [str(pick)], pick
     convert = action.type or str
     word = "x" if convert is str else "7" if convert is cli._int_arg else "0.25"
@@ -578,7 +605,8 @@ def test_parser_flags_match_defaults(name, capsys):
         expected[key] = value
     cfg = cli._resolve(defaults, cli._build_parser().parse_args(argv))
     for key, value in expected.items():
-        assert cfg[key] == value != defaults[key], key
+        assert cfg[key] == value, key
+        assert value != defaults[key] or cli._FLAGS[key].get("choices") == [value], key
 
 
 # ---------------------------------------------------------------------------

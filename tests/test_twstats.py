@@ -352,22 +352,11 @@ def test_sample_count_must_be_a_positive_integer(run, bad):
 # ---------------------------------------------------------------------------
 # MC edge harness.
 
-def test_mc_edge_thread_count_does_not_change_bytes():
-    spec = ens.EnsembleSpec(N=100, lam0=0.5, potential=ens.IIDFrom(TWO),
-                            seed=42)
-    a = tw.mc_edge(spec, 40, top_k=2, parallel=1)
-    b = tw.mc_edge(spec, 40, top_k=2, parallel=3)
-    assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.e_plus, b.e_plus)
-    assert np.array_equal(a.gamma0, b.gamma0)
-    assert a.ks == b.ks
-
-
 def test_mc_edge_undeformed_ks():
     spec = ens.EnsembleSpec(N=300, lam0=0.0,
                             potential=ens.Fixed(np.zeros(300)),
                             c2=1.0, zero_diagonal=False, seed=31)
-    r = tw.mc_edge(spec, 500, parallel=2)
+    r = tw.mc_edge(spec, 500)
     assert r.samples.shape == (500, 1)
     assert r.ks < 0.08
     assert r.runtime > 0.0
@@ -413,10 +402,6 @@ def test_mc_edge_validation():
         tw.mc_edge(spec, 0)
     with pytest.raises(ValueError):
         tw.mc_edge(spec, 5, top_k=0)
-    for bad in (0, 1.5, float("nan")):
-        # a NaN worker count would start no thread and wait for ever
-        with pytest.raises(ValueError, match="parallel"):
-            tw.mc_edge(spec, 5, parallel=bad)
 
 
 # ---------------------------------------------------------------------------
