@@ -18,7 +18,6 @@ unwritable output, 3 verification-suite failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -169,7 +168,7 @@ def _spec_from_cfg(cfg: dict) -> ens.EnsembleSpec:
     return ens.EnsembleSpec(
         N=cfg["N"], lam0=cfg["lam0"],
         potential=_potential_arg(cfg["potential"], cfg["N"]),
-        law=cfg["law"], c2=c2, zero_diagonal=bool(cfg["zero_diagonal"]),
+        law=cfg["law"], c2=c2, zero_diagonal=cfg["zero_diagonal"],
         seed=cfg["seed"])
 
 
@@ -184,31 +183,21 @@ FC_DEFAULTS = {
 
 def cmd_fc_solve(cfg: dict) -> int:
     nu = _measure_arg(cfg["measure"])
-    lam, gamma, lo, hi, eta = (cfg[k] for k in ("lam", "gamma", "lo", "hi", "eta"))
-    if lo is None or hi is None:
-        try:
-            e_m, e_p = fc.support_endpoints(nu, lam)
-        except fc.AssumptionViolatedError:
-            # Inner-edge assumption failure (split support); the hull of
-            # lam*nu plus the semicircle still brackets all the mass.
-            vmin, vmax = ms.support_interval(nu)
-            e_m, e_p = lam * vmin - 2.0, lam * vmax + 2.0
-        lo = gamma * e_m - 0.5 if lo is None else lo
-        hi = gamma * e_p + 0.5 if hi is None else hi
-    sol = fc.solve_grid(nu, lam, gamma, lo, hi, cfg["points"], eta)
+    lam, gamma = cfg["lam"], cfg["gamma"]
     # unchecked outer edges: a split support reports its hull, and a law
-    # with no edge root fails here, before the extrapolation solve
-    support = list(sol.support)
-    if cfg["extrapolate"]:
-        sol = dataclasses.replace(
-            sol, density=fc.density_at(nu, lam, gamma, sol.grid, eta))
+    # with no edge root fails here, before any grid solve
+    _, _, e_m, e_p = fc._outer_roots(nu, lam)
+    support = [gamma * e_m, gamma * e_p]
+    lo = support[0] - 0.5 if cfg["lo"] is None else cfg["lo"]
+    hi = support[1] + 0.5 if cfg["hi"] is None else cfg["hi"]
+    sol = fc.solve_grid(nu, lam, gamma, lo, hi, cfg["points"], cfg["eta"])
+    density = fc.density_at(sol) if cfg["extrapolate"] else sol.density
     cfg = dict(cfg, lo=lo, hi=hi, measure=ms.to_json(nu))
     summary = _summary("fc-solve", cfg, support=support,
-                       mass=float(np.trapezoid(sol.density, sol.grid)),
-                       peak=float(sol.density.max()),
-                       iterations=sol.iterations)
+                       mass=float(np.trapezoid(density, sol.grid)),
+                       peak=float(density.max()), iterations=sol.iterations)
     _emit(summary, cfg["out"], _csv("E,re_m,im_m,density", zip(
-        sol.grid, sol.m.real, sol.m.imag, sol.density)))
+        sol.grid, sol.m.real, sol.m.imag, density)))
     return 0
 
 
@@ -474,9 +463,15 @@ def _int_arg(raw) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
-def _switch_arg(raw) -> int:
-    """An integer, or the JSON boolean a summary records for a switch."""
-    return int(raw) if isinstance(raw, bool) else _int_arg(raw)
+def _switch_arg(raw) -> bool:
+    """0 or 1, or the JSON boolean a summary records for a switch; any other
+    value is refused here, since bool(5) would pass the flag's choices."""
+    if isinstance(raw, bool):
+        return raw
+    val = _int_arg(raw)
+    if val not in (0, 1):
+        raise argparse.ArgumentTypeError(f"expected 0, 1, true or false, got {raw!r}")
+    return bool(val)
 
 
 def _out_arg(raw) -> str:

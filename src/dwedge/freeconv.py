@@ -16,9 +16,10 @@ and its mirror image on the left.  Both are the one integral against nu,
 measure.deformed_power(nu, s, p, n) = integral dnu(v) / (s v - p)^n: the
 fixed point at the complex pole p = z + gamma^2 m with s = lam gamma (n = 1
 for the map, n = 2 for its derivative), the edge at the real pole p = theta
-with s = lam.  _edge_roots is the one place that edge data is computed: it
-checks the regularity assumption once and solves both roots, and
-support_endpoints and edgescale.build both read it.  phi(theta) = integral
+with s = lam.  _outer_roots is the one place that edge data is computed:
+it solves both roots, unchecked, so fc-solve reads a split support as its
+outer hull; _edge_roots runs the regularity check once before it, and
+support_endpoints and edgescale.build both read that.  phi(theta) = integral
 dnu/(lam v - theta)^2 falls monotonically away from the support, and
 phi^(-1/2), a power mean of the distances |lam v - theta|, is concave and
 nearly linear there, so Newton on phi^(-1/2) = 1 climbs to the root from
@@ -27,8 +28,9 @@ theta)^3 from deformed_power; a step out of the bracket [edge + 1e-12,
 edge + 10 + 10 lam] (phi is infinite at an atom on the edge) bisects it,
 and the solve stops after a step of at most 1e-15 + 4 eps |theta|.  solve_grid
 gives the law on an energy grid at a fixed spectral height (the solution
-records its Newton iteration count), and density_at its density
-extrapolated to the real axis.  These and solve_point share one Newton
+records its Newton iteration count), and density_at extrapolates the
+density of such a solution to the real axis from one more grid solve at
+half that height.  These and solve_point share one Newton
 solve, at the fixed residual _TOL and step cap _MAX_ITER, that refuses a
 non-finite lam or gamma before its first step.
 
@@ -92,13 +94,6 @@ class FreeConvolutionSolution:
     eta: float
     density: np.ndarray
     iterations: int = 0  # Newton steps until every grid point converged
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """(gamma E_minus, gamma E_plus), unchecked: a split support gives
-        the outer hull."""
-        _, _, e_m, e_p = _outer_roots(self.nu, self.lam)
-        return self.gamma * e_m, self.gamma * e_p
 
 
 def _maps(nu, lam, gamma, z, m):
@@ -172,8 +167,8 @@ def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float
         f, fp = phi(near)
         if not f > 1.0:
             raise AssumptionViolatedError(
-                f"no edge root above {edge:.6g}: the deformation is too strong "
-                "for a square-root edge on this side")
+                f"no edge root {'above' if side > 0 else 'below'} {edge:.6g}: the "
+                "deformation is too strong for a square-root edge on this side")
         theta = near
         for _ in range(100):
             # Newton on phi^(-1/2) = 1 inside [near, far], else bisection
@@ -288,17 +283,15 @@ def solve_grid(nu: ms.Measure, lam: float, gamma: float, lo: float, hi: float,
                                    iterations=iterations)
 
 
-def density_at(nu: ms.Measure, lam: float, gamma: float, E, eta: float) -> np.ndarray:
-    """Density at the energies E by Richardson extrapolation of Im m over
-    spectral heights eta and eta/2.
+def density_at(sol: FreeConvolutionSolution) -> np.ndarray:
+    """Density on the grid of sol by Richardson extrapolation of Im m over
+    spectral heights sol.eta, already solved, and sol.eta/2.
 
     Im m(E + i eta) = pi rho(E) + O(eta^2) inside the support and O(eta)
     outside; the two-point combination cancels the leading error both ways.
     """
-    E = np.asarray(E, dtype=float)
-    m1, _ = _solve_many(nu, lam, gamma, E + 1j * eta)
-    m2, _ = _solve_many(nu, lam, gamma, E + 1j * (eta / 2.0))
-    return ((2.0 * m2.imag - m1.imag) / np.pi).reshape(E.shape)
+    half, _ = _solve_many(sol.nu, sol.lam, sol.gamma, sol.grid + 1j * (sol.eta / 2.0))
+    return (2.0 * half.imag - sol.m.imag) / np.pi
 
 
 def asymptotic_eplus(nu: ms.Measure, lam0: float) -> float:
@@ -313,10 +306,11 @@ def asymptotic_eplus(nu: ms.Measure, lam0: float) -> float:
         + lam0**4 * (c4 - 9.0 * c2 * c2 / 4.0)
 
 
-def edge_exponent_fit(sol: FreeConvolutionSolution) -> tuple[float, float]:
+def edge_exponent_fit(sol: FreeConvolutionSolution,
+                      e_plus: float) -> tuple[float, float]:
     """(amplitude, exponent) of density ~ amplitude * kappa^exponent at the
-    upper edge, fit by least squares in log-log over kappa in _FIT_WINDOW."""
-    e_plus = sol.support[1]
+    upper edge e_plus of sol's law, fit by least squares in log-log over
+    kappa = e_plus - E in _FIT_WINDOW."""
     near = np.abs(sol.grid - e_plus) < 0.05
     if np.count_nonzero(near) < 20:
         raise InsufficientPointsError(

@@ -78,12 +78,55 @@ def test_fc_solve_split_support_reports_outer_hull(tmp_path):
     assert summary["support"] == [e_m, e_p]
 
 
+def test_fc_solve_split_support_takes_the_regular_grid(capsys):
+    # the default grid is the outer hull +- 0.5, as for a regular law
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "1.5",
+               "--points", "51") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["config"]["lo"] == summary["support"][0] - 0.5
+    assert summary["config"]["hi"] == summary["support"][1] + 0.5
+
+
 def test_fc_solve_without_edge_root_exits_1(tmp_path, capsys):
     # a soft-tailed law at strong coupling has no outer edge root at all
     assert run("fc-solve", "--measure", '{"type":"jacobi","a":2,"b":2}',
                "--lam", "2.5", "--points", "201",
                "--out", str(tmp_path / "fc4")) == 1
     assert "no edge root" in capsys.readouterr().err
+
+
+def test_fc_solve_names_the_side_without_an_edge_root(capsys, count_calls):
+    # Jacobi(2, 0.5) at lam 1.2 has an upper edge root but none below its
+    # support; the run fails before any grid solve
+    solves = count_calls(fc, "_solve_many")
+    assert run("fc-solve", "--measure", '{"type":"jacobi","a":2,"b":0.5}',
+               "--lam", "1.2") == 1
+    assert "no edge root below" in capsys.readouterr().err
+    assert solves == []
+
+
+@pytest.mark.parametrize("extrapolate", [False, True])
+def test_fc_solve_solves_each_quantity_once(capsys, count_calls, extrapolate):
+    # one unchecked edge-root solve gives the grid and the support; the
+    # extrapolation reuses the grid solve and adds one at half the height
+    counts = {name: count_calls(fc, name)
+              for name in ("_outer_roots", "assumption_margin", "_solve_many")}
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "0.5", "--points", "51",
+               *(["--extrapolate"] if extrapolate else [])) == 0
+    capsys.readouterr()
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "_outer_roots": 1, "assumption_margin": 0, "_solve_many": 1 + extrapolate}
+
+
+def test_fc_solve_extrapolated_density_is_density_at(tmp_path):
+    out = tmp_path / "fc"
+    assert run("fc-solve", "--measure", TWO_ATOM, "--lam", "0.5", "--points", "101",
+               "--extrapolate", "--out", str(out)) == 0
+    summary = json.loads(out.with_suffix(".json").read_text())
+    rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)
+    sol = fc.solve_grid(ms.from_json(json.loads(TWO_ATOM)), 0.5, 1.0,
+                        summary["config"]["lo"], summary["config"]["hi"], 101, 1e-5)
+    np.testing.assert_array_equal(rows[:, 3], fc.density_at(sol))
 
 
 def test_fc_solve_records_newton_iterations(capsys):
@@ -401,7 +444,8 @@ def test_every_summary_replays(tmp_path, argv):
         for summary in (first, again):
             summary.pop("runtime", None)
             summary["config"].pop("out")
-        assert first == again
+        # as text: a config that echoes 1 for a recorded true is not a replay
+        assert json.dumps(first) == json.dumps(again)
 
 
 def test_mc_edge_workers_takes_only_1(tmp_path, capsys):

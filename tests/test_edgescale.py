@@ -106,7 +106,7 @@ def test_rescaled_edge_amplitude_is_semicircular():
     # the whole point of gamma: the rescaled law decays like sqrt(kappa)/pi
     s = es.build(TWO, 0.5)
     sol = fc.solve_grid(TWO, 0.5, s.gamma, s.l_plus - 0.05, s.l_plus - 1e-5, 700, 1e-7)
-    amp, expo = fc.edge_exponent_fit(sol)
+    amp, expo = fc.edge_exponent_fit(sol, s.l_plus)
     assert expo == pytest.approx(0.5, abs=0.02)
     assert amp == pytest.approx(1.0 / np.pi, rel=0.05)
 

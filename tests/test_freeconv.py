@@ -78,7 +78,7 @@ def test_solve_grid_semicircle_density():
     rho = np.sqrt(np.clip(4.0 - sol.grid**2, 0.0, None)) / (2.0 * np.pi)
     core = np.abs(sol.grid) <= 1.9
     assert np.max(np.abs(sol.density - rho)[core]) < 1e-6
-    assert sol.support == pytest.approx((-2.0, 2.0), abs=1e-10)
+    assert fc._outer_roots(D0, 0.0)[2:] == pytest.approx((-2.0, 2.0), abs=1e-10)
     # residual invariant on every stored point
     f, _ = fc._maps(D0, 0.0, 1.0, sol.grid + 1j * sol.eta, sol.m)
     assert np.max(np.abs(sol.m - f)) < 1e-10
@@ -100,16 +100,12 @@ def test_maps_at_vanishing_coupling_is_the_semicircle_map(nu, gamma):
 
 
 def test_solve_grid_solves_no_edge_root(monkeypatch):
-    e_m, e_p = fc.support_endpoints(TWO, 0.5)
     calls = []
     real = fc._outer_roots
     monkeypatch.setattr(fc, "_outer_roots",
                         lambda *a: calls.append(a) or real(*a))
-    sol = fc.solve_grid(TWO, 0.5, 0.8, -2.5, 2.5, 101, 1e-4)
+    fc.solve_grid(TWO, 0.5, 0.8, -2.5, 2.5, 101, 1e-4)
     assert calls == []
-    # the support is solved when it is read, from the solution's own law
-    assert sol.support == (0.8 * e_m, 0.8 * e_p)
-    assert len(calls) == 1
 
 
 def test_solve_grid_two_atom_strong_coupling_gap():
@@ -119,7 +115,8 @@ def test_solve_grid_two_atom_strong_coupling_gap():
     mid = np.abs(sol.grid) < 0.1
     assert sol.density[mid].max() < 1e-4
     assert sol.density.max() > 0.1
-    out = (sol.grid < sol.support[0] - 0.05) | (sol.grid > sol.support[1] + 0.05)
+    _, _, e_m, e_p = fc._outer_roots(TWO, 1.5)
+    out = (sol.grid < e_m - 0.05) | (sol.grid > e_p + 0.05)
     assert sol.density[out].max() < 1e-4
 
 
@@ -133,11 +130,15 @@ DENSITY_ORACLE = [(0.0, 0.275664447700286), (0.5, 0.273974608898419)]
 
 @pytest.mark.parametrize("E,want", DENSITY_ORACLE)
 def test_density_at_two_atom_cubic_oracle(E, want):
-    assert fc.density_at(TWO, 0.5, 1.0, E, 1e-5) == pytest.approx(want, abs=1e-8)
+    # a 2-point grid whose ends are the oracle energies
+    (lo, _), (hi, _) = DENSITY_ORACLE
+    sol = fc.solve_grid(TWO, 0.5, 1.0, lo, hi, 2, 1e-5)
+    density = dict(zip(sol.grid, fc.density_at(sol)))
+    assert density[E] == pytest.approx(want, abs=1e-8)
 
 
 def test_density_at_semicircle():
-    inside, outside = fc.density_at(D0, 0.0, 1.0, [0.0, 2.5], 1e-5)
+    inside, outside = fc.density_at(fc.solve_grid(D0, 0.0, 1.0, 0.0, 2.5, 2, 1e-5))
     assert inside == pytest.approx(1.0 / np.pi, abs=1e-8)
     assert abs(outside) < 1e-6
 
@@ -327,7 +328,9 @@ def test_coupling_range_checks_refuse_nan_and_inf(bad):
 @pytest.mark.parametrize("solve", [
     lambda lam, gamma: fc.solve_point(TWO, lam, gamma, 1.0 + 1e-3j),
     lambda lam, gamma: fc.solve_grid(TWO, lam, gamma, -3.0, 3.0, 11, 1e-3),
-    lambda lam, gamma: fc.density_at(TWO, lam, gamma, [0.0, 1.0], 1e-3),
+    lambda lam, gamma: fc.density_at(fc.FreeConvolutionSolution(
+        nu=TWO, lam=lam, gamma=gamma, grid=np.array([0.0, 1.0]),
+        m=np.array([1j, 1j]), eta=1e-3, density=np.zeros(2))),
 ], ids=["solve_point", "solve_grid", "density_at"])
 def test_newton_solves_refuse_a_non_finite_coupling(solve, name, bad):
     # a bad coupling is a config error, caught before the first Newton step,
@@ -353,18 +356,19 @@ def test_variance_identity_small_coupling():
 
 
 def _edge_solution(nu, lam, eta=1e-7):
+    """A grid solution just below the upper edge, and that edge."""
     _, ep = fc.support_endpoints(nu, lam)
-    return fc.solve_grid(nu, lam, 1.0, ep - 0.05, ep - 1e-5, 700, eta)
+    return fc.solve_grid(nu, lam, 1.0, ep - 0.05, ep - 1e-5, 700, eta), ep
 
 
 def test_edge_exponent_semicircle():
-    amp, expo = fc.edge_exponent_fit(_edge_solution(D0, 0.0))
+    amp, expo = fc.edge_exponent_fit(*_edge_solution(D0, 0.0))
     assert expo == pytest.approx(0.5, abs=0.02)
     assert amp == pytest.approx(1.0 / np.pi, rel=0.05)
 
 
 def test_edge_exponent_deformed_unrescaled():
-    amp, expo = fc.edge_exponent_fit(_edge_solution(TWO, 0.5))
+    amp, expo = fc.edge_exponent_fit(*_edge_solution(TWO, 0.5))
     assert expo == pytest.approx(0.5, abs=0.02)
     # unrescaled amplitude differs from 1/pi (rescaling restores it)
     assert abs(amp * np.pi - 1.0) > 0.02
@@ -373,7 +377,7 @@ def test_edge_exponent_deformed_unrescaled():
 def test_edge_fit_requires_points():
     sol = fc.solve_grid(D0, 0.0, 1.0, -3.0, 3.0, 30, 1e-5)
     with pytest.raises(fc.InsufficientPointsError):
-        fc.edge_exponent_fit(sol)
+        fc.edge_exponent_fit(sol, 2.0)
 
 
 @pytest.mark.parametrize("lam", [0.52, 0.55, 0.6])

@@ -305,22 +305,10 @@ def test_rigidity_iid_potential_resolves_per_sample():
     assert rep["threshold"] == pytest.approx(150 ** 0.2)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_rigidity_solves_each_sample_edge_once(monkeypatch):
+def test_rigidity_solves_each_sample_edge_once(count_calls):
     # one regularity check and one edge-root solve per potential draw
-    margins = _count_calls(monkeypatch, fc, "assumption_margin")
-    roots = _count_calls(monkeypatch, fc, "_outer_roots")
+    margins = count_calls(fc, "assumption_margin")
+    roots = count_calls(fc, "_outer_roots")
     spec = ens.EnsembleSpec(N=60, lam0=0.5, potential=ens.IIDFrom(TWO), seed=3)
     tw.rigidity_report(spec, 3, 5)
     assert len(margins) == 3
@@ -443,8 +431,8 @@ def test_regime_subcritical_matches_gaussian():
 
 
 @pytest.mark.parametrize("delta", [1.0 / 3.0, 0.0])
-def test_regime_builds_population_edge_once_per_size(monkeypatch, delta):
-    builds = _count_calls(monkeypatch, es, "build")
+def test_regime_builds_population_edge_once_per_size(count_calls, delta):
+    builds = count_calls(es, "build")
     sizes = [60, 80]
     tw.regime_test(TWO, 0.5, delta, sizes, 4, seed=2)
     # case iii adds one build per sample, on the realized potential
