@@ -1,3 +1,7 @@
+import functools
+import time
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -26,3 +30,38 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture(scope="session")
+def optical_median():
+    """optical_median(n) returns (median, seconds): the size of the
+    component-wise median, over the 200 "optc7" samples at size n
+    (lam0 = 0.05, eta = n^(-2/3 - 0.05)), of the centered optical_window
+    statistic, and the seconds its draws took.  Each size is drawn once per
+    session, so the unit test and acceptance criterion 7 share the draws."""
+    from dwedge import edgescale as es
+    from dwedge import ensemble as ens
+    from dwedge import measure as ms
+    from dwedge import resolvent as rv
+    from dwedge import rngstream
+
+    two = ms.Atomic(locations=(-1.0, 1.0), weights=(0.5, 0.5))
+
+    @functools.cache
+    def median(n):
+        t0 = time.time()
+        eta = n ** (-2.0 / 3.0 - 0.05)
+        spec = ens.EnsembleSpec(N=n, lam0=0.05, potential=ens.IIDFrom(two),
+                                law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
+        vals = []
+        for s in range(200):
+            h, v = ens.sample_deformed(spec,
+                                       rngstream.stream(909, "optc7",
+                                                        n * 100000 + s))
+            sc = es.build(ms.empirical_from_values(v), 0.05)
+            vals.append(rv.optical_window(h, sc, eta, potential=v))
+        x = np.asarray(vals)
+        return (abs(np.median(x.real) + 1j * np.median(x.imag)),
+                time.time() - t0)
+
+    return median
