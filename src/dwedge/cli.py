@@ -184,8 +184,9 @@ FC_DEFAULTS = {
 def cmd_fc_solve(cfg: dict) -> int:
     nu = _measure_arg(cfg["measure"])
     lam, gamma = cfg["lam"], cfg["gamma"]
-    # unchecked outer edges: a split support reports its hull, and a law
-    # with no edge root fails here, before any grid solve
+    # outer edges without the regularity check: a split support reports its
+    # hull, and a lam out of range or a law with no edge root fails here,
+    # before any grid solve
     _, _, e_m, e_p = fc._outer_roots(nu, lam)
     support = [gamma * e_m, gamma * e_p]
     lo = support[0] - 0.5 if cfg["lo"] is None else cfg["lo"]

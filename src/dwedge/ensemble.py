@@ -9,16 +9,21 @@ O(N^(-1)) and every experiment in the package runs in that convention.
 
 Eigenvalues are computed with dense symmetric LAPACK solvers: dsyevd via
 numpy for the full spectrum, dsyevr via scipy for only the top k (the edge
-statistics read mu_1 .. mu_k and nothing below).  Backward error of either
-factorization is far below the 1e-10 * ||H|| contract and is spot-checked in
-the tests against an independent high-precision oracle at N = 50.
+statistics read mu_1 .. mu_k and nothing below).  The top one alone, which
+every edge statistic reads, is solved by ssyevr on a float32 copy and
+accepted only with a double-precision certificate that it is within
+1e-10 * ||H|| of mu_1; otherwise dsyevr solves it (_top_eigenvalues).
+Backward error of either double factorization is far below the
+1e-10 * ||H|| contract, and both routes are spot-checked in the tests
+against an independent high-precision oracle at N = 50.
 
 Checks live at the two entries: eigenvalues() checks any matrix it is given
 (square, finite, symmetric) and never modifies it, and sample_deformed()
 checks the one part of its output that can be non-finite, the diagonal.  The
 Monte Carlo draw loop, twstats._top_draws over rngstream.draws, solves each
 sampled matrix with _top_eigenvalues() and discards it: no second validation
-pass, and LAPACK works on the matrix in place, not on a copy.
+pass, and dsyevr works on the matrix in place; the float32 route makes one
+float32 copy.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ RADEMACHER = "rademacher"
 
 # N^2 times the fourth cumulant of one off-diagonal entry, per law.
 _ENTRY_S4 = {GAUSSIAN: 0.0, RADEMACHER: -2.0}
+
+# float32 unit roundoff, machine epsilon, smallest subnormal and largest value
+_U32, _EPS32, _TINY32 = 2.0 ** -24, 2.0 ** -23, 2.0 ** -149
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def edge_matched_c2(law: str) -> float:
@@ -163,10 +172,47 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
 
 def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
     """The k largest eigenvalues of a finite, exactly symmetric matrix,
-    descending, by LAPACK dsyevr.  Unchecked, and h is destroyed: the solve
-    runs in place on h.T, the same matrix already in Fortran order, so
-    nothing is copied and the result is bit-for-bit that of eigh(h)."""
+    descending.  Unchecked, and h may be destroyed.
+
+    k > 1 (or N = 1) runs LAPACK dsyevr in place on h.T, the same matrix
+    already in Fortran order, so nothing is copied and the result is
+    bit-for-bit that of eigh(h).
+
+    k = 1 first solves the top two pairs (mu2', mu1') of fl32(H) by ssyevr
+    on one float32 copy, then takes one Rayleigh-Ritz step in double on
+    their span: Q = qr(X), Y = H Q, (theta, Z) = eigh(Q^T Y), with theta1
+    the top Ritz value and r = ||Y z1 - theta1 Q z1|| its residual.
+    Certificate (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11):
+    lambda2(H) <= b = mu2' + (2^-24 + 4 * 2^-23) ||H||_F + N * 2^-149, by
+    Weyl's bound with ||H - fl32(H)||_2 <= u ||H||_F (u = 2^-24), LAPACK's
+    eigenvalue error eps32 ||A|| with a 4x margin, and N * 2^-149 for
+    subnormal rounding.  With delta = theta1 - b > 0, Kato-Temple puts
+    lambda1 in [theta1, theta1 + r^2 / delta], and |theta1| <= ||H||_2, so
+    theta1 is returned only if delta > r and r^2 / delta <= 1e-10 |theta1|,
+    the module's 1e-10 * ||H|| contract.  A float32 copy that would not be
+    finite (||H||_F beyond float32 range), a NaN anywhere or a failed test
+    falls back to the in-place dsyevr.
+    """
     n = h.shape[0]
+    # The norm, QR and H Q run on scipy's BLAS, like the solves: numpy
+    # bundles a second OpenBLAS, and at its default threading the two
+    # thread pools spin against each other (twice the time per sample on
+    # two cores).
+    fro = (scipy.linalg.norm(h.ravel(), check_finite=False)
+           if k == 1 and n > 1 else np.inf)
+    if fro <= _F32_MAX:
+        mu, x = scipy.linalg.eigh(h.T.astype(np.float32, order="F"),
+                                  overwrite_a=True, check_finite=False,
+                                  subset_by_index=[n - 2, n - 1], driver="evr")
+        q, _ = scipy.linalg.qr(x.astype(float), mode="economic",
+                               check_finite=False)
+        y = scipy.linalg.blas.dgemm(1.0, h.T, q)  # h.T is h, in Fortran order
+        theta, z = np.linalg.eigh(q.T @ y)
+        top, z1 = theta[-1], z[:, -1]
+        r = np.linalg.norm(y @ z1 - top * (q @ z1))
+        delta = top - (mu[0] + (_U32 + 4.0 * _EPS32) * fro + n * _TINY32)
+        if delta > r and r * r / delta <= 1e-10 * abs(top):
+            return theta[-1:]
     w = scipy.linalg.eigh(h.T, eigvals_only=True, overwrite_a=True,
                           check_finite=False, subset_by_index=[n - k, n - 1],
                           driver="evr")
@@ -178,7 +224,8 @@ def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
 def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
     """Eigenvalues, descending: the full spectrum (LAPACK dsyevd through
     numpy.linalg.eigvalsh), or with top=k only the k largest (dsyevr, which
-    skips the rest of the spectrum after the tridiagonal reduction).  h is
+    skips the rest of the spectrum after the tridiagonal reduction; for
+    top=1 a certified float32 solve first, see _top_eigenvalues).  h is
     checked and left unchanged."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("need a square matrix")

@@ -17,8 +17,9 @@ measure.deformed_power(nu, s, p, n) = integral dnu(v) / (s v - p)^n: the
 fixed point at the complex pole p = z + gamma^2 m with s = lam gamma (n = 1
 for the map, n = 2 for its derivative), the edge at the real pole p = theta
 with s = lam.  _outer_roots is the one place that edge data is computed:
-it solves both roots, unchecked, so fc-solve reads a split support as its
-outer hull; _edge_roots runs the regularity check once before it, and
+it refuses a lam outside [0, inf) and solves both roots without the
+regularity check, so fc-solve reads a split support as its outer hull;
+_edge_roots runs the regularity check once before it, and
 support_endpoints and edgescale.build both read that.  phi(theta) = integral
 dnu/(lam v - theta)^2 falls monotonically away from the support, and
 phi^(-1/2), a power mean of the distances |lam v - theta|, is concave and
@@ -151,6 +152,8 @@ def solve_point(nu: ms.Measure, lam: float, gamma: float, z) -> complex:
 
 def _outer_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
     """(theta_minus, theta_plus, E_minus, E_plus) for the gamma = 1 law."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"need a finite lam >= 0, got {lam}")
     if lam < 1e-50:
         return -1.0, 1.0, -2.0, 2.0
 
@@ -256,10 +259,9 @@ def _gap_minima(x, w, gaps, c):
 
 
 def _edge_roots(nu: ms.Measure, lam: float) -> tuple[float, float, float, float]:
-    """_outer_roots after the regularity check on (nu, lam)."""
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"need a finite lam >= 0, got {lam}")
-    if lam > 0 and assumption_margin(nu, lam) < 0:
+    """_outer_roots after the regularity check on (nu, lam); a lam out of
+    range skips the check and fails in _outer_roots."""
+    if 0 < lam < np.inf and assumption_margin(nu, lam) < 0:
         raise AssumptionViolatedError(
             "min over the support hull of integral dnu/(v-x)^2 is below lam^2")
     return _outer_roots(nu, lam)

@@ -105,6 +105,15 @@ def test_fc_solve_names_the_side_without_an_edge_root(capsys, count_calls):
     assert solves == []
 
 
+def test_fc_solve_refuses_a_negative_lam_before_any_grid_solve(capsys, count_calls):
+    # the edge-root solve took a negative lam as the semicircle, so only the
+    # grid solve after it refused the coupling
+    solves = count_calls(fc, "_solve_many")
+    assert exit_code("fc-solve", "--lam", "-1") == 2
+    assert "finite lam >= 0" in capsys.readouterr().err
+    assert solves == []
+
+
 @pytest.mark.parametrize("extrapolate", [False, True])
 def test_fc_solve_solves_each_quantity_once(capsys, count_calls, extrapolate):
     # one unchecked edge-root solve gives the grid and the support; the

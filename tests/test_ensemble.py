@@ -9,6 +9,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import dwedge.edgescale as es
@@ -156,15 +157,72 @@ def test_top_outside_one_to_n_is_rejected(top):
 
 @pytest.mark.parametrize("k", [1, 20])
 def test_in_place_solve_matches_the_checked_entry(k):
-    # the Monte Carlo loops call _top_eigenvalues on the sampled matrix
+    # the Monte Carlo loops call _top_eigenvalues on the sampled matrix.  At
+    # k = 1 both calls take the float32 route, so they agree bit for bit;
+    # its Ritz value sits below dsyevd by at most 3.5e-13 ||H|| over seeds
+    # 0-31 at N = 300 and 800 (dsyevd is within 1.2e-16 ||H|| of the eig50
+    # oracle, the float32 route within 5.4e-14 ||H||)
     h, _ = en.sample_deformed(two_atom_spec(n=300), stream(14, "inplace", k))
     norm = np.linalg.norm(h, 2)
     fast = en._top_eigenvalues(h.copy(), k)
     assert fast.shape == (k,)
     np.testing.assert_allclose(fast, en.eigenvalues(h, top=k),
-                               rtol=0, atol=1e-13 * norm)
+                               rtol=0, atol={1: 0.0, 20: 1e-13}[k] * norm)
     np.testing.assert_allclose(fast, en.eigenvalues(h)[:k],
-                               rtol=0, atol=1e-13 * norm)
+                               rtol=0, atol={1: 1e-12, 20: 1e-13}[k] * norm)
+
+
+def _lapack_calls(count_calls):
+    """The dtypes of the matrices scipy.linalg.eigh is called on."""
+    calls = count_calls(scipy.linalg, "eigh")
+    return lambda: [args[0].dtype for args in calls]
+
+
+def test_top_one_matches_the_high_precision_oracle(count_calls):
+    # the certified float32 route, with no dsyevr call, against mpmath
+    oracle = json.loads((DATA / "eig50.json").read_text())
+    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
+                         zero_diagonal=False)
+    dtypes = _lapack_calls(count_calls)
+    top = en.eigenvalues(w, top=1)
+    assert dtypes() == [np.float32]
+    assert abs(top[0] - oracle["eigenvalues_desc"][0]) < 1e-12 * np.linalg.norm(w, 2)
+
+
+def test_top_one_of_a_repeated_eigenvalue_falls_back_to_dsyevr(count_calls):
+    # mu2 = mu1 leaves no gap for the Kato-Temple bound
+    dtypes = _lapack_calls(count_calls)
+    assert en.eigenvalues(np.diag([3.0, 1.0, 2.0, 3.0]), top=1).tolist() == [3.0]
+    assert dtypes() == [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("degenerate,dsyevr_calls", [(False, 0), (True, 1)])
+def test_top_one_calls_dsyevr_only_when_the_certificate_fails(
+        count_calls, degenerate, dsyevr_calls):
+    # a sample at N = 300, or two copies of one at N = 150 (a double mu1)
+    if degenerate:
+        half, _ = en.sample_deformed(two_atom_spec(n=150), stream(14, "twice"))
+        h = scipy.linalg.block_diag(half, half)
+    else:
+        h, _ = en.sample_deformed(two_atom_spec(n=300), stream(14, "inplace", 1))
+    dtypes = _lapack_calls(count_calls)
+    top = en.eigenvalues(h, top=1)
+    assert dtypes().count(np.float64) == dsyevr_calls
+    np.testing.assert_allclose(top, np.linalg.eigvalsh(h)[-1:], rtol=0,
+                               atol=1e-12 * np.linalg.norm(h, 2))
+
+
+@pytest.mark.parametrize("scale,solves", [
+    # 1e-42 H rounds to float32 subnormals and fails the certificate;
+    # 1e40 H has ||H||_F beyond float32 range and skips ssyevr
+    (1e-42, [np.float32, np.float64]), (1e40, [np.float64]),
+], ids=["1e-42", "1e40"])
+def test_top_one_outside_float32_range_falls_back(count_calls, scale, solves):
+    h, _ = en.sample_deformed(two_atom_spec(n=300), stream(14, "inplace", 1))
+    dtypes = _lapack_calls(count_calls)
+    top = en.eigenvalues(scale * h, top=1)
+    assert dtypes() == solves
+    np.testing.assert_allclose(top, scale * np.linalg.eigvalsh(h)[-1:], rtol=1e-12)
 
 
 @pytest.mark.parametrize("top", [None, 1, 20])

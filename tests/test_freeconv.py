@@ -321,6 +321,14 @@ def test_coupling_range_checks_refuse_nan_and_inf(bad):
         fc.asymptotic_eplus(TWO, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_outer_roots_refuse_a_negative_or_nan_lam(bad):
+    # a negative lam came back as the semicircle (-1, 1, -2, 2), and NaN as
+    # an AssumptionViolatedError about a missing edge root
+    with pytest.raises(ValueError, match="finite lam >= 0"):
+        fc._outer_roots(TWO, bad)
+
+
 @pytest.mark.parametrize("name,bad", [
     *((name, bad) for name in ("lam", "gamma") for bad in (np.nan, np.inf, -0.5)),
     ("gamma", 0.0),
