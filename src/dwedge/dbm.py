@@ -90,7 +90,8 @@ def flow_edge_track(spec: ens.EnsembleSpec, times,
     out = []
     for t, ht in flow(h, times, rng):
         sc = es.flow_scaling(nu_hat, spec.lam0, t)
-        out.append((t, rv.green(sc.gamma * ht, sc.l_plus + 1j * eta).m))
+        g = rv.green(sc.gamma * ht, sc.l_plus + 1j * eta)
+        out.append((t, complex(np.trace(g)) / spec.N))
     return out
 
 

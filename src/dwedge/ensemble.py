@@ -101,8 +101,14 @@ class EnsembleSpec:
                 raise ValueError("fixed potential values must be finite")
 
 
-def _symmetric_noise(n: int, law: str, rng: np.random.Generator,
-                     offdiag_sd: float, diag_sd: float) -> np.ndarray:
+def sample_wigner(n: int, law: str, c2: float, rng: np.random.Generator,
+                  zero_diagonal: bool = True) -> np.ndarray:
+    """Symmetric noise with E w_ij^2 = 1/N off-diagonal, (1+c2)/N on it
+    (zeroed when zero_diagonal)."""
+    if n < 2:
+        raise ValueError("need N >= 2")
+    offdiag_sd = 1.0 / np.sqrt(n)
+    diag_sd = 0.0 if zero_diagonal else np.sqrt((1.0 + c2) / n)
     w = np.empty((n, n))
     k = n * (n - 1) // 2
     if law == GAUSSIAN:
@@ -121,16 +127,6 @@ def _symmetric_noise(n: int, law: str, rng: np.random.Generator,
         start += row.size
     np.fill_diagonal(w, diag)
     return w
-
-
-def sample_wigner(n: int, law: str, c2: float, rng: np.random.Generator,
-                  zero_diagonal: bool = True) -> np.ndarray:
-    """Symmetric noise with E w_ij^2 = 1/N off-diagonal, (1+c2)/N on it
-    (zeroed when zero_diagonal)."""
-    if n < 2:
-        raise ValueError("need N >= 2")
-    diag_sd = 0.0 if zero_diagonal else np.sqrt((1.0 + c2) / n)
-    return _symmetric_noise(n, law, rng, 1.0 / np.sqrt(n), diag_sd)
 
 
 def draw_potential(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:

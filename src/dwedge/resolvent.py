@@ -4,7 +4,7 @@ Everything here works on the resolvent G(z) = (A - z)^(-1) of a real
 symmetric matrix at a spectral point in the upper half plane.  The module
 provides
 
-  * green: the resolvent itself, with its trace average m = (1/N) tr G,
+  * green: the resolvent itself,
   * verify_identities: the four exact algebraic relations between G and
     the resolvents of its minors (Schur complement, minor expansion, and
     the one- and two-sided expansions in the removed rows),
@@ -25,7 +25,6 @@ one real matrix product gives the diagonals it needs at every point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +34,6 @@ from . import freeconv as fc
 from . import measure as ms
 
 __all__ = [
-    "GreenEvaluation",
     "green",
     "verify_identities",
     "local_law_residuals",
@@ -46,15 +44,6 @@ _HALFWIDTH = 3.0  # optical_window's half-width, in units of N^(-2/3),
 _POINTS = 13  # and its number of spectral points
 
 
-@dataclass(frozen=True)
-class GreenEvaluation:
-    """Resolvent G = (A - z)^(-1) with its normalized trace m."""
-
-    z: complex
-    G: np.ndarray
-    m: complex
-
-
 def _square_real(h) -> np.ndarray:
     arr = np.asarray(h, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -62,8 +51,8 @@ def _square_real(h) -> np.ndarray:
     return arr
 
 
-def green(h, z) -> GreenEvaluation:
-    """Resolvent of a real symmetric matrix at Im z > 0.
+def green(h, z) -> np.ndarray:
+    """Resolvent (h - z)^(-1) of a real symmetric matrix at Im z > 0.
 
     One complex symmetric-indefinite solve against the identity; no
     eigendecomposition.
@@ -77,7 +66,7 @@ def green(h, z) -> GreenEvaluation:
                            assume_a="sym", check_finite=False)
     if not np.all(np.isfinite(g)):
         raise np.linalg.LinAlgError("resolvent solve produced non-finite entries")
-    return GreenEvaluation(z=zc, G=g, m=complex(np.trace(g)) / n)
+    return g
 
 
 def _potential_values(arr: np.ndarray, potential) -> np.ndarray:
@@ -107,23 +96,23 @@ def verify_identities(h, z, i: int, j: int, k: int) -> dict[str, float]:
         if not 0 <= idx < n:
             raise IndexError(f"index {idx} out of range for size {n}")
     zc = ms.as_upper_half(z)
-    g = green(arr, zc).G
+    g = green(arr, zc)
 
     keep_i = [s for s in range(n) if s != i]
-    g_i = green(arr[np.ix_(keep_i, keep_i)], zc).G
+    g_i = green(arr[np.ix_(keep_i, keep_i)], zc)
     row_i = arr[i, keep_i].astype(complex)
     schur = abs(g[i, i] - 1.0 / (arr[i, i] - zc - row_i @ g_i @ row_i))
 
     keep_k = [s for s in range(n) if s != k]
     pos_k = {s: p for p, s in enumerate(keep_k)}
-    g_k = green(arr[np.ix_(keep_k, keep_k)], zc).G
+    g_k = green(arr[np.ix_(keep_k, keep_k)], zc)
     basic = abs(g[i, j] - g_k[pos_k[i], pos_k[j]] - g[i, k] * g[k, j] / g[k, k])
 
     pos_i = {s: p for p, s in enumerate(keep_i)}
     onesided = abs(g[i, j] + g[i, i] * (row_i @ g_i[:, pos_i[j]]))
 
     keep_ij = [s for s in range(n) if s != i and s != j]
-    g_ij = green(arr[np.ix_(keep_ij, keep_ij)], zc).G
+    g_ij = green(arr[np.ix_(keep_ij, keep_ij)], zc)
     quad = arr[i, keep_ij].astype(complex) @ g_ij @ arr[keep_ij, j].astype(complex)
     twosided = abs(g[i, j] + g[i, i] * g_i[pos_i[j], pos_i[j]] * (arr[i, j] - quad))
 
@@ -151,16 +140,16 @@ def local_law_residuals(h, scaling: es.EdgeScaling, z,
     eta = zc.imag
     if eta < n ** (-1.0 + 0.01):
         raise ValueError(f"eta = {eta:.3e} below the resolution floor N^(-0.99)")
-    ev = green(scaling.gamma * arr, zc)
+    g = green(scaling.gamma * arr, zc)
     mhat = fc.solve_point(scaling.nu, scaling.lam, scaling.gamma, zc)
     v = _potential_values(arr, potential)
     profile = 1.0 / (scaling.lam * scaling.gamma * v - zc - scaling.gamma**2 * mhat)
     pi = math.sqrt(mhat.imag / (n * eta)) + 1.0 / (n * eta)
-    r_m = abs(ev.m - mhat) * n * eta
-    off = np.abs(ev.G).copy()
+    r_m = abs(complex(np.trace(g)) / n - mhat) * n * eta
+    off = np.abs(g)
     np.fill_diagonal(off, 0.0)
     r_offdiag = float(off.max()) / pi
-    r_diag = float(np.abs(np.diag(ev.G) - profile).max()) / pi
+    r_diag = float(np.abs(np.diag(g) - profile).max()) / pi
     return r_m, r_offdiag, r_diag, pi
 
 

@@ -3,9 +3,10 @@
 Each test prints a single `criterion NN [PASS|FAIL]` line (shown under
 `pytest -s`, or automatically on failure) with the measured quantities,
 then asserts the stated gates, including the runtime budget.  Monte Carlo
-criteria run the frozen master seeds calibrated in
-scripts/pilot_twstats.py; with the counter-based streams every number
-here is reproducible bit for bit.
+criteria run frozen master seeds; with the counter-based streams every
+number here is reproducible bit for bit, so the printed lines are the
+calibration record.  CHANGES.md keeps the last stand-alone calibration run
+of these seeds, each line next to the criterion that recomputes it.
 
 Criterion 9's rejection gate: each regime's samples must reject every
 alternative law by a one-sample KS test at level 1e-3, i.e. KS to the
@@ -310,11 +311,13 @@ def test_criterion_11_rigidity():
         reports[lam0] = tw.rigidity_report(spec, 200, 20)
     el = time.time() - t0
     worst = max(float(r["median"].max()) for r in reports.values())
+    worst_p95 = max(float(r["p95"].max()) for r in reports.values())
     ok = worst < 3.0 and not any(r["flag"] for r in reports.values()) \
         and el < 1800.0
     _line(11, ok, f"rigidity N=500, worst median "
-                  f"{worst:.3f} (gate 3) over k <= 20 at lam0 in {{0, 0.5}}, "
-                  f"{el:.0f}s")
+                  f"{worst:.3f} (gate 3), worst p95 {worst_p95:.3f} (flag "
+                  f"above N^0.2 = {reports[0.0]['threshold']:.3f}) over "
+                  f"k <= 20 at lam0 in {{0, 0.5}}, {el:.0f}s")
     for lam0, rep in reports.items():
         assert float(rep["median"].max()) < 3.0, f"lam0={lam0}"
         assert not rep["flag"], f"lam0={lam0}"

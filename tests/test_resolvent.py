@@ -37,13 +37,11 @@ def goe_like(n, seed, label="res"):
 def test_green_is_the_resolvent():
     h = goe_like(30, 1)
     z = 0.3 + 0.2j
-    ev = rv.green(h, z)
-    lhs = (h - z * np.eye(30)) @ ev.G
+    g = rv.green(h, z)
+    lhs = (h - z * np.eye(30)) @ g
     assert np.abs(lhs - np.eye(30)).max() < 1e-12
-    assert np.abs(ev.G - ev.G.T).max() < 1e-12
-    assert ev.m == pytest.approx(complex(np.trace(ev.G)) / 30, abs=1e-15)
-    assert ev.z == z
-    assert ev.m.imag > 0
+    assert np.abs(g - g.T).max() < 1e-12
+    assert np.trace(g).imag > 0
 
 
 def test_green_rejects_bad_input():
@@ -161,11 +159,11 @@ def test_optical_residual_naive_summands_are_order_one():
     for s in range(40):
         h, _, sc = deformed_sample(100, 0.05, 909, "optnv", s)
         z = sc.l_plus + 1j * 100 ** (-2.0 / 3.0 - 0.05)
-        ev = rv.green(sc.gamma * h, z)
-        g2 = ev.G @ ev.G
-        pref = ev.z + sc.gamma**2 * ev.m - sc.tau
+        g = rv.green(sc.gamma * h, z)
+        g2 = g @ g
+        pref = z + sc.gamma**2 * complex(np.trace(g)) / 100 - sc.tau
         s1 = abs(pref * np.mean(np.diagonal(g2)))
-        s2 = abs(np.mean(np.einsum("ij,ji->i", g2, ev.G)) / 100)
+        s2 = abs(np.mean(np.einsum("ij,ji->i", g2, g)) / 100)
         assert 0.02 < s1 < 5.0 and 0.01 < s2 < 5.0
         s1_all.append(s1)
         s2_all.append(s2)

@@ -18,13 +18,15 @@ entry law, the GOE value the limit laws are calibrated against.  The
 zero-diagonal default is kept where no law comparison is involved
 (rigidity, determinism, equivariance).
 
-Thresholds are frozen from pilot runs at the exact seeds used here
-(scripts/pilot_twstats.py); the streams make each run deterministic, so
-a bound only needs headroom over the measured value, not over sampling
-noise.  Pilot KS values: 0.066 (mc_edge, N=300 seed 31), 0.082/0.077/
+Thresholds are frozen from calibration runs at the exact seeds used
+here; the streams make each run deterministic, so a bound only needs
+headroom over the measured value, not over sampling noise.  Measured KS
+values (the calibration record in CHANGES.md, each line next to the test
+here that recomputes it): 0.066 (mc_edge, N=300 seed 31), 0.082/0.077/
 0.072 (regime cases i at N=300, ii at N=400, iii at N=400), 0.025
 (top-2 against an independent GOE batch, band 0.096); rigidity medians
-maxed at 1.2 across the pilot grid against the gate of 3.
+max out at 1.2 over the three rigidity tests, against gates of 3 (4 for
+the iid potential).
 """
 
 import math

@@ -2,10 +2,12 @@
 of a public function has callers that use it both ways.
 
 A caller is a reference in code, not in a string or docstring: a Name, an
-Attribute or an import, found in src/, scripts/, bench/ or the acceptance
-suite.  Unit tests do not count, since a helper that only its own test
-calls serves no command, criterion or benchmark.  The few names kept for
-another reason are listed in KEEP with that reason.
+Attribute or an import, found in src/, bench/ or the acceptance suite.
+Unit tests do not count, since a helper that only its own test calls
+serves no command, criterion or benchmark.  Nor does scripts/: no test
+runs a script, so a name that only a script calls could break unseen.
+The few names kept for another reason are listed in KEEP with that
+reason.
 
 The same callers decide the options.  A defaulted parameter of a public
 top-level function must be set, by position or by keyword, in some call
@@ -31,8 +33,8 @@ def _library_trees():
 
 
 def _caller_trees():
-    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
-             *(ROOT / "bench").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
     for path in files:
         yield ast.parse(path.read_text())
 
