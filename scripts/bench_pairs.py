@@ -13,10 +13,12 @@ commit, source digest, every run's end-to-end metrics and failure count,
 and each metric's median and quartiles.  Per metric, in the direction
 BENCHMARK.json declares, it counts the pairs the change won, says whether
 every change run beat every parent run, and gives the median of the
-per-pair change/parent ratios with its distribution-free sign-test
-interval: the order statistics r_(k) and r_(n+1-k) of the n sorted ratios
-for the largest k with coverage 1 - 2 P(Binomial(n, 1/2) < k) >= 0.95,
-recorded with that coverage (none below 6 pairs).  An existing output file
+per-pair change/parent ratios with its distribution-free signed-rank
+interval: exp of the order statistics w_(k) and w_(M+1-k) of the
+M = n(n+1)/2 sorted Walsh averages (x_i + x_j)/2, i <= j, of the per-pair
+log ratios x, for the largest k with coverage 1 - 2 P(T+ < k) >= 0.95
+under the exact null law of the signed-rank statistic T+, recorded with
+that coverage (none below 6 pairs).  An existing output file
 gains or replaces only the workloads of this call.
 """
 
@@ -60,16 +62,21 @@ def summary(runs: list[dict]) -> dict:
 
 
 def ratio_interval(ratios: list[float]) -> dict:
-    """Median of the per-pair ratios and its 95% sign-test interval."""
-    r, n = sorted(ratios), len(ratios)
-    below = 0.0  # P(Binomial(n, 1/2) < k) for the current k
+    """Median of the per-pair ratios and its 95% signed-rank interval."""
+    n = len(ratios)
+    logs = [math.log(r) for r in ratios]
+    walsh = sorted((logs[i] + logs[j]) / 2.0 for i in range(n) for j in range(i, n))
+    counts = [1]  # counts[t]: subsets of the ranks 1..n that sum to t
+    for rank in range(1, n + 1):
+        counts = [a + b for a, b in zip(counts + [0] * rank, [0] * rank + counts)]
+    below = 0.0  # P(T+ < k) under the null, T+ the signed-rank statistic
     k = 0
-    while 1.0 - 2.0 * (below + math.comb(n, k) / 2.0 ** n) >= 0.95:
-        below += math.comb(n, k) / 2.0 ** n
+    while 1.0 - 2.0 * (below + counts[k] / 2.0 ** n) >= 0.95:
+        below += counts[k] / 2.0 ** n
         k += 1
-    out = {"median": statistics.median(r), "interval": None, "coverage": None}
+    out = {"median": statistics.median(ratios), "interval": None, "coverage": None}
     if k:
-        out["interval"] = [r[k - 1], r[n - k]]
+        out["interval"] = [math.exp(walsh[k - 1]), math.exp(walsh[-k])]
         out["coverage"] = 1.0 - 2.0 * below
     return out
 

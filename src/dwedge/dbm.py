@@ -28,7 +28,6 @@ import numpy as np
 from . import edgescale as es
 from . import ensemble as ens
 from . import measure as ms
-from . import resolvent as rv
 
 __all__ = ["evolve", "flow", "flow_times", "flow_edge_track",
            "goe_invariance_check", "ks_two_sample"]
@@ -82,7 +81,8 @@ def flow_edge_track(spec: ens.EnsembleSpec, times,
     At each requested time the matrix is gamma(t) H(t) and the spectral
     point is the moving edge z(t) = L+(t) + i eta with eta = N^(-2/3-eps);
     the rescaling constants follow the decayed coupling lam0 e^{-t/2}
-    against the empirical potential measure of the realized draw.
+    against the empirical potential measure of the realized draw.  m is
+    mean_k 1/(mu_k - z) over the eigenvalues mu_k of gamma(t) H(t).
     """
     eta = spec.N ** (-2.0 / 3.0 - EDGE_EPS)
     h, v = ens.sample_deformed(spec, rng)
@@ -90,8 +90,8 @@ def flow_edge_track(spec: ens.EnsembleSpec, times,
     out = []
     for t, ht in flow(h, times, rng):
         sc = es.flow_scaling(nu_hat, spec.lam0, t)
-        g = rv.green(sc.gamma * ht, sc.l_plus + 1j * eta)
-        out.append((t, complex(np.trace(g)) / spec.N))
+        mu = ens.eigenvalues(sc.gamma * ht)
+        out.append((t, complex(np.mean(1.0 / (mu - (sc.l_plus + 1j * eta))))))
     return out
 
 

@@ -66,12 +66,6 @@ def build(nu: ms.Measure, lam: float) -> EdgeScaling:
                        l_plus=l_plus, e_plus=e_plus, e_minus=e_minus, A=A, Ap=Ap)
 
 
-def verify_gamma_relation(s: EdgeScaling) -> float:
-    """Residual of gamma = (- integral dnu/(lam gamma v - tau)^3)^(-1/6)."""
-    third = ms.deformed_power(s.nu, s.lam * s.gamma, s.tau, 3)
-    return abs(s.gamma - (-third) ** (-1.0 / 6.0))
-
-
 def flow_scaling(nu: ms.Measure, lam0: float, t: float) -> EdgeScaling:
     """Scaling with the flow coupling lam(t) = lam0 exp(-t/2)."""
     if not 0 <= t < np.inf:
@@ -114,7 +108,6 @@ def coefficients(nu: ms.Measure, lam0: float,
 
 
 def to_json(s: EdgeScaling) -> dict:
-    rec = verify_gamma_relation(s)
     recur = max(abs(s.lam * s.gamma * s.Ap[n] - s.tau * s.A[n] - s.A[n - 1])
                 for n in (2, 3, 4))
     return {
@@ -128,7 +121,8 @@ def to_json(s: EdgeScaling) -> dict:
         "A": {str(n): s.A[n] for n in sorted(s.A)},
         "A_prime": {str(n): s.Ap[n] for n in sorted(s.Ap)},
         "residuals": {
-            "gamma_relation": rec,
+            # gamma = (- integral dnu/(lam gamma v - tau)^3)^(-1/6)
+            "gamma_relation": abs(s.gamma - (-s.A[3]) ** (-1.0 / 6.0)),
             "tau_identity": abs(s.tau - s.gamma * s.zeta),
             "recurrence": recur,
             "a2_identity": abs(s.A[2] - s.gamma**-2),

@@ -16,10 +16,10 @@ provides
     window, which is the form whose seed averages exhibit the
     cancellation rate.
 
-The resolvent is computed through one complex symmetric-indefinite
-factorization per spectral point; optical_window alone diagonalizes, since
-it evaluates the sum rule at many spectral points of one matrix, and then
-one real matrix product gives the diagonals it needs at every point.
+Every quantity comes from one real eigendecomposition A = U diag(mu) U^T:
+green returns U diag(1/(mu - z)) U^T, and optical_window, which evaluates
+the sum rule at many spectral points of one matrix, reads the diagonals it
+needs at every point from one real matrix product.
 """
 
 from __future__ import annotations
@@ -54,18 +54,17 @@ def _square_real(h) -> np.ndarray:
 def green(h, z) -> np.ndarray:
     """Resolvent (h - z)^(-1) of a real symmetric matrix at Im z > 0.
 
-    One complex symmetric-indefinite solve against the identity; no
-    eigendecomposition.
+    U diag(1/(mu - z)) U^T from the eigendecomposition h = U diag(mu) U^T,
+    the same scipy.linalg.eigh call that optical_window makes; the complex
+    right factor diag(1/(mu - z)) U^T is read as real pairs, so the product
+    is one real matrix product.
     """
     arr = _square_real(h)
     zc = ms.as_upper_half(z)
-    n = arr.shape[0]
-    a = arr.astype(complex)
-    a[np.diag_indices(n)] -= zc
-    g = scipy.linalg.solve(a, np.eye(n, dtype=complex),
-                           assume_a="sym", check_finite=False)
+    mu, vec = scipy.linalg.eigh(arr)
+    g = (vec @ (vec.T / (mu - zc)[:, None]).view(float)).view(complex)
     if not np.all(np.isfinite(g)):
-        raise np.linalg.LinAlgError("resolvent solve produced non-finite entries")
+        raise np.linalg.LinAlgError("resolvent has non-finite entries")
     return g
 
 
@@ -98,23 +97,25 @@ def verify_identities(h, z, i: int, j: int, k: int) -> dict[str, float]:
     zc = ms.as_upper_half(z)
     g = green(arr, zc)
 
-    keep_i = [s for s in range(n) if s != i]
-    g_i = green(arr[np.ix_(keep_i, keep_i)], zc)
-    row_i = arr[i, keep_i].astype(complex)
+    def minor(*rows):
+        """Resolvent of arr with the given rows and columns removed; an
+        index s then sits at s - #(removed rows below s)."""
+        return green(np.delete(np.delete(arr, rows, 0), rows, 1), zc)
+
+    g_i = minor(i)
+    row_i = np.delete(arr[i], i).astype(complex)
     schur = abs(g[i, i] - 1.0 / (arr[i, i] - zc - row_i @ g_i @ row_i))
 
-    keep_k = [s for s in range(n) if s != k]
-    pos_k = {s: p for p, s in enumerate(keep_k)}
-    g_k = green(arr[np.ix_(keep_k, keep_k)], zc)
-    basic = abs(g[i, j] - g_k[pos_k[i], pos_k[j]] - g[i, k] * g[k, j] / g[k, k])
+    g_k = minor(k)
+    basic = abs(g[i, j] - g_k[i - (i > k), j - (j > k)] - g[i, k] * g[k, j] / g[k, k])
 
-    pos_i = {s: p for p, s in enumerate(keep_i)}
-    onesided = abs(g[i, j] + g[i, i] * (row_i @ g_i[:, pos_i[j]]))
+    ji = j - (j > i)
+    onesided = abs(g[i, j] + g[i, i] * (row_i @ g_i[:, ji]))
 
-    keep_ij = [s for s in range(n) if s != i and s != j]
-    g_ij = green(arr[np.ix_(keep_ij, keep_ij)], zc)
-    quad = arr[i, keep_ij].astype(complex) @ g_ij @ arr[keep_ij, j].astype(complex)
-    twosided = abs(g[i, j] + g[i, i] * g_i[pos_i[j], pos_i[j]] * (arr[i, j] - quad))
+    g_ij = minor(i, j)
+    quad = np.delete(arr[i], (i, j)).astype(complex) @ g_ij \
+        @ np.delete(arr[:, j], (i, j)).astype(complex)
+    twosided = abs(g[i, j] + g[i, i] * g_i[ji, ji] * (arr[i, j] - quad))
 
     return {"schur": schur, "basic": basic, "onesided": onesided, "twosided": twosided}
 

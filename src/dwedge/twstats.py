@@ -43,16 +43,15 @@ from . import measure as ms
 from . import rngstream
 
 __all__ = [
-    "TW1", "TW2", "GAUSS", "TW1_GAUSS_CONV", "LimitLaw", "MCRunResult",
+    "TW1", "GAUSS", "TW1_GAUSS_CONV", "LimitLaw", "MCRunResult",
     "tw_cdf", "law_cdf", "ks_statistic", "classical_locations",
     "rigidity_report", "mc_edge", "regime_test",
 ]
 
 TW1 = "tw1"
-TW2 = "tw2"
 GAUSS = "gaussian"
 TW1_GAUSS_CONV = "tw1_gauss_conv"
-_VARIANTS = (TW1, TW2, GAUSS, TW1_GAUSS_CONV)
+_VARIANTS = (TW1, GAUSS, TW1_GAUSS_CONV)
 
 # ---------------------------------------------------------------------------
 # Painleve II route to the Tracy-Widom CDFs.
@@ -163,10 +162,10 @@ _GRID = np.linspace(-10.0, 6.0, 1601)
 class LimitLaw:
     """One of the limiting edge laws.
 
-    variant "tw1" or "tw2" ignores sigma2; "gaussian" is the centered
-    normal with variance sigma2; "tw1_gauss_conv" is the law of a TW1
-    variable plus an independent centered Gaussian with variance sigma2
-    (sigma2 = 0 degenerates to TW1 exactly).
+    variant "tw1" ignores sigma2; "gaussian" is the centered normal with
+    variance sigma2; "tw1_gauss_conv" is the law of a TW1 variable plus an
+    independent centered Gaussian with variance sigma2 (sigma2 = 0
+    degenerates to TW1 exactly).  F_2 has no limit law here; tw_cdf reads it.
     """
     variant: str
     sigma2: float = 0.0
@@ -182,9 +181,8 @@ class LimitLaw:
 
 @functools.lru_cache(maxsize=16)
 def _law_table(variant: str, sigma2: float) -> np.ndarray:
-    if variant in (TW1, TW2):
-        f1, f2 = _tw_pair(_GRID)
-        vals = f2 if variant == TW2 else f1
+    if variant == TW1:
+        vals = _tw_pair(_GRID)[0]
     else:
         base = _law_table(TW1, 0.0)
         if sigma2 == 0.0:

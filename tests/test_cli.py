@@ -680,7 +680,7 @@ sol = fc.solve_grid(ms.Atomic([0.0], [1.0]), 0.0, 1.0, -2.05, 2.05, 201, 1e-7)
 tw.classical_locations(sol, 100, [1, 2])
 unwanted()
 tw.law_cdf(tw.LimitLaw(tw.TW1), 0.0)
-tw.law_cdf(tw.LimitLaw(tw.TW2), 0.0)
+tw.tw_cdf(2, 0.0)
 tw.tw_cdf(1, 0.0)
 unwanted()
 with contextlib.redirect_stdout(io.StringIO()):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dwedge.dbm as dbm
+import dwedge.edgescale as es
 import dwedge.ensemble as ens
 import dwedge.measure as ms
 from dwedge.rngstream import stream
@@ -156,6 +157,21 @@ def test_edge_track_deformed_runs_and_validates():
         dbm.flow_edge_track(spec, [], stream(16, "track3"))
     with pytest.raises(ValueError):
         dbm.flow_edge_track(spec, [-1.0, 0.0], stream(16, "track5"))
+
+
+def test_edge_track_m_is_the_normalized_trace_of_the_resolvent():
+    # rebuild gamma(t) H(t) from the same stream and invert it directly
+    spec, times = two_atom_spec(100), [0.0, 1.0]
+    series = dbm.flow_edge_track(spec, times, stream(17, "trackm"))
+    rng = stream(17, "trackm")
+    h, v = ens.sample_deformed(spec, rng)
+    nu_hat = ms.empirical_from_values(v)
+    eta = spec.N ** (-2.0 / 3.0 - dbm.EDGE_EPS)
+    for (t, m), (_, ht) in zip(series, dbm.flow(h, times, rng), strict=True):
+        sc = es.flow_scaling(nu_hat, spec.lam0, t)
+        z = sc.l_plus + 1j * eta
+        want = np.trace(np.linalg.inv(sc.gamma * ht - z * np.eye(spec.N))) / spec.N
+        assert abs(m - want) <= 1e-12 * abs(want), t
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -31,7 +31,7 @@ def test_zero_coupling_is_semicircle():
     s = es.build(TWO, 0.0)
     assert (s.zeta, s.gamma, s.tau) == (1.0, 1.0, 1.0)
     assert s.e_plus == 2.0 and s.l_plus == 2.0
-    assert es.verify_gamma_relation(s) < 1e-14
+    assert es.to_json(s)["residuals"]["gamma_relation"] < 1e-14
 
 
 def test_point_mass_is_rigid_shift():
@@ -39,7 +39,7 @@ def test_point_mass_is_rigid_shift():
     assert s.zeta == pytest.approx(1.12, abs=1e-12)
     assert s.gamma == pytest.approx(1.0, abs=1e-12)
     assert s.e_plus == pytest.approx(2.12, abs=1e-12)
-    assert es.verify_gamma_relation(s) < 1e-12
+    assert es.to_json(s)["residuals"]["gamma_relation"] < 1e-12
 
 
 def check_invariants(s: es.EdgeScaling):
@@ -56,7 +56,7 @@ def check_invariants(s: es.EdgeScaling):
 def test_two_atom_population_invariants():
     s = es.build(TWO, 0.5)
     check_invariants(s)
-    assert es.verify_gamma_relation(s) < 1e-10
+    assert es.to_json(s)["residuals"]["gamma_relation"] < 1e-10
     # the rescaled edge sits below the raw one
     assert s.l_plus < s.e_plus
 
@@ -65,7 +65,7 @@ def test_empirical_matches_population_edge():
     vh = empirical_two_atom()
     s = es.build(vh, 0.5)
     check_invariants(s)
-    assert es.verify_gamma_relation(s) < 1e-10
+    assert es.to_json(s)["residuals"]["gamma_relation"] < 1e-10
     _, ep = fc.support_endpoints(TWO, 0.5)
     assert abs(s.e_plus - ep) < 0.05
 
@@ -197,4 +197,4 @@ def test_scaling_invariants_hold_generally(case):
     except fc.AssumptionViolatedError:
         return
     check_invariants(s)
-    assert es.verify_gamma_relation(s) < 1e-10
+    assert es.to_json(s)["residuals"]["gamma_relation"] < 1e-10

@@ -35,13 +35,14 @@ def goe_like(n, seed, label="res"):
 
 
 def test_green_is_the_resolvent():
-    h = goe_like(30, 1)
-    z = 0.3 + 0.2j
-    g = rv.green(h, z)
-    lhs = (h - z * np.eye(30)) @ g
-    assert np.abs(lhs - np.eye(30)).max() < 1e-12
-    assert np.abs(g - g.T).max() < 1e-12
-    assert np.trace(g).imag > 0
+    # a bulk point, and a point at the upper edge with eta = N^(-2/3)
+    for n, z in ((30, 0.3 + 0.2j), (200, 2.0 + 200 ** (-2.0 / 3.0) * 1j)):
+        h = goe_like(n, 1)
+        g = rv.green(h, z)
+        lhs = (h - z * np.eye(n)) @ g
+        assert np.abs(lhs - np.eye(n)).max() < 1e-12, n
+        assert np.abs(g - g.T).max() < 1e-12, n
+        assert np.trace(g).imag > 0, n
 
 
 def test_green_rejects_bad_input():

@@ -96,9 +96,10 @@ def test_tw_cdf_rejects_non_finite_s(bad):
 def test_tw_tables_match_fredholm_determinant():
     idx = np.flatnonzero(tw._GRID >= -8.3)[::20]
     want = np.array([fredholm_pair(float(s)) for s in tw._GRID[idx]])
-    for col, variant in enumerate((tw.TW1, tw.TW2)):
-        err = np.abs(tw._law_table(variant, 0.0)[idx] - want[:, col])
-        assert err.max() <= 5e-10, variant
+    tables = (tw._law_table(tw.TW1, 0.0), tw._tw_pair(tw._GRID)[1])
+    for col, table in enumerate(tables):
+        err = np.abs(table[idx] - want[:, col])
+        assert err.max() <= 5e-10, col
 
 
 def test_tw1_moments_match_oracle():
@@ -108,7 +109,7 @@ def test_tw1_moments_match_oracle():
 
 
 def test_tw2_moments_match_oracle():
-    mean, var = table_moments(tw._GRID, tw._law_table(tw.TW2, 0.0))
+    mean, var = table_moments(tw._GRID, tw._tw_pair(tw._GRID)[1])
     assert mean == pytest.approx(TW2_MEAN, abs=1e-3)
     assert var == pytest.approx(TW2_VAR, abs=1e-3)
 
@@ -117,10 +118,11 @@ def test_tw2_moments_match_oracle():
 # Limit laws.
 
 def test_law_tables_monotone_with_pinned_ends():
-    for law in (tw.LimitLaw(tw.TW1), tw.LimitLaw(tw.TW2),
-                tw.LimitLaw(tw.GAUSS, 1.0),
-                tw.LimitLaw(tw.TW1_GAUSS_CONV, 1.0)):
-        vals = tw.law_cdf(law, tw._GRID)
+    tables = [tw.law_cdf(law, tw._GRID) for law in (
+        tw.LimitLaw(tw.TW1), tw.LimitLaw(tw.GAUSS, 1.0),
+        tw.LimitLaw(tw.TW1_GAUSS_CONV, 1.0))]
+    tables.append(np.array([tw.tw_cdf(2, s) for s in tw._GRID]))
+    for vals in tables:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] == pytest.approx(0.0, abs=1e-4)
         assert vals[-1] == pytest.approx(1.0, abs=1e-4)
@@ -128,13 +130,14 @@ def test_law_tables_monotone_with_pinned_ends():
 
 def test_tw_tables_strictly_increasing_on_core():
     sel = (tw._GRID >= -8.0) & (tw._GRID <= 4.0)
-    for variant in (tw.TW1, tw.TW2):
-        assert np.all(np.diff(tw._law_table(variant, 0.0)[sel]) > 0.0)
+    for table in (tw._law_table(tw.TW1, 0.0), tw._tw_pair(tw._GRID)[1]):
+        assert np.all(np.diff(table[sel]) > 0.0)
 
 
 def test_limit_law_validation():
-    with pytest.raises(ValueError):
-        tw.LimitLaw("tw3")
+    for bad in ("tw2", "tw3"):  # F_2 is read through tw_cdf only
+        with pytest.raises(ValueError, match="unknown variant"):
+            tw.LimitLaw(bad)
     with pytest.raises(ValueError):
         tw.LimitLaw(tw.TW1, -0.5)
     with pytest.raises(ValueError):
