@@ -114,10 +114,6 @@ def _json_arg(raw):
             f"measure: not a file and not valid JSON ({e.msg})") from e
 
 
-def _measure_arg(raw) -> ms.Measure:
-    return ms.from_json(_json_arg(raw))
-
-
 def _potential_arg(raw, n: int) -> ens.IIDFrom | ens.Fixed:
     """'zeros', a potential as a summary records it, or a measure for iid V."""
     if raw == "zeros":
@@ -182,7 +178,7 @@ FC_DEFAULTS = {
 
 
 def cmd_fc_solve(cfg: dict) -> int:
-    nu = _measure_arg(cfg["measure"])
+    nu = ms.from_json(_json_arg(cfg["measure"]))
     lam, gamma = cfg["lam"], cfg["gamma"]
     # outer edges without the regularity check: a split support reports its
     # hull, and a lam out of range or a law with no edge root fails here,
@@ -207,7 +203,7 @@ _ES_RESIDUAL_GATE = 1e-10
 
 
 def cmd_edge_scaling(cfg: dict) -> int:
-    nu = _measure_arg(cfg["measure"])
+    nu = ms.from_json(_json_arg(cfg["measure"]))
     cfg = dict(cfg, measure=ms.to_json(nu))
     try:
         scaling = es.build(nu, cfg["lam"])
@@ -278,7 +274,7 @@ REGIME_DEFAULTS = {
 
 
 def cmd_regime(cfg: dict) -> int:
-    nu = _measure_arg(cfg["measure"])
+    nu = ms.from_json(_json_arg(cfg["measure"]))
     outs = tw.regime_test(nu, cfg["sigma0"], cfg["delta"], cfg["sizes"],
                           cfg["n"], seed=cfg["seed"])
     cfg = dict(cfg, measure=ms.to_json(nu))

@@ -7,23 +7,25 @@ E w_ij^2 = 1/N off the diagonal and (1 + c2)/N on it.  The diagonal of W is
 removed by default; the resulting shift of the extreme eigenvalues is
 O(N^(-1)) and every experiment in the package runs in that convention.
 
-Eigenvalues are computed with dense symmetric LAPACK solvers: dsyevd via
-numpy for the full spectrum, dsyevr via scipy for only the top k (the edge
-statistics read mu_1 .. mu_k and nothing below).  The top one alone, which
-every edge statistic reads, is solved by ssyevr on a float32 copy and
-accepted only with a double-precision certificate that it is within
-1e-10 * ||H|| of mu_1; otherwise dsyevr solves it (_top_eigenvalues).
-Backward error of either double factorization is far below the
-1e-10 * ||H|| contract, and both routes are spot-checked in the tests
-against an independent high-precision oracle at N = 50.
+Every full symmetric eigendecomposition, with or without vectors
+(eigenvalues() and resolvent), is dsyevd through numpy, on the OpenBLAS of
+the products around it.  scipy serves only partial spectra: dsyevr for the
+top k (the edge statistics read mu_1 .. mu_k and nothing below), and for
+the top one alone ssyevr on a float32 copy, accepted only with a
+double-precision certificate that it is within 1e-10 * ||H|| of mu_1
+(_top_eigenvalues).  That route's norm, QR and product stay on scipy's
+OpenBLAS: numpy and scipy bundle separate builds, whose thread pools spin
+against each other when one solve switches between them.  Backward error
+of either double factorization is far below the contract, and both routes
+are spot-checked in the tests against a high-precision oracle at N = 50.
 
-Checks live at the two entries: eigenvalues() checks any matrix it is given
-(square, finite, symmetric) and never modifies it, and sample_deformed()
-checks the one part of its output that can be non-finite, the diagonal.  The
-Monte Carlo draw loop, twstats._top_draws over rngstream.draws, solves each
-sampled matrix with _top_eigenvalues() and discards it: no second validation
-pass, and dsyevr works on the matrix in place; the float32 route makes one
-float32 copy.
+Checks live at the entries: _symmetric() checks any matrix handed to
+eigenvalues() or to resolvent (square, finite, symmetric) and never
+modifies it, and sample_deformed() checks the one part of its output that
+can be non-finite, the diagonal.  The Monte Carlo draw loop,
+twstats._top_draws over rngstream.draws, solves each sampled matrix with
+_top_eigenvalues() and discards it: no second validation pass, and dsyevr
+works on the matrix in place; the float32 route makes one float32 copy.
 """
 
 from __future__ import annotations
@@ -190,10 +192,6 @@ def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
     falls back to the in-place dsyevr.
     """
     n = h.shape[0]
-    # The norm, QR and H Q run on scipy's BLAS, like the solves: numpy
-    # bundles a second OpenBLAS, and at its default threading the two
-    # thread pools spin against each other (twice the time per sample on
-    # two cores).
     fro = (scipy.linalg.norm(h.ravel(), check_finite=False)
            if k == 1 and n > 1 else np.inf)
     if fro <= _F32_MAX:
@@ -217,27 +215,31 @@ def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
     return w[::-1]
 
 
+def _symmetric(h) -> np.ndarray:
+    """h as floats, checked square, finite and symmetric within 1e-12 max(1, |h|_max)."""
+    arr = np.asarray(h, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {arr.shape}")
+    tol = 1e-12 * float(np.max(np.abs(arr), initial=1.0))  # NaN propagates
+    if not np.isfinite(tol):
+        raise ValueError("matrix has a non-finite entry")
+    if np.max(np.abs(arr - arr.T)) > tol:
+        raise ValueError(f"matrix is not symmetric within {tol:.3g}")
+    return arr
+
+
 def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
     """Eigenvalues, descending: the full spectrum (LAPACK dsyevd through
     numpy.linalg.eigvalsh), or with top=k only the k largest (dsyevr, which
     skips the rest of the spectrum after the tridiagonal reduction; for
     top=1 a certified float32 solve first, see _top_eigenvalues).  h is
     checked and left unchanged."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("need a square matrix")
-    n = h.shape[0]
-    if top is not None and not 1 <= top <= n:
-        raise ValueError(f"need 1 <= top <= N = {n}, got {top}")
-    scale = float(np.max(np.abs(h)))
-    if not np.isfinite(scale):
-        raise ValueError("matrix has a non-finite entry")
-    # relative to the entry scale, so rounding in a large-norm matrix passes
-    tol = 1e-12 * max(1.0, scale)
-    if np.max(np.abs(h - h.T)) > tol:
-        raise ValueError(f"matrix is not symmetric within {tol:.3g}")
+    arr = _symmetric(h)
     if top is None:
-        return np.linalg.eigvalsh(h)[::-1]
-    return _top_eigenvalues(np.array(h, dtype=float), top)
+        return np.linalg.eigvalsh(arr)[::-1]
+    if not 1 <= top <= arr.shape[0]:
+        raise ValueError(f"need 1 <= top <= N = {arr.shape[0]}, got {top}")
+    return _top_eigenvalues(np.array(arr), top)
 
 
 def potential_to_json(potential: IIDFrom | Fixed) -> dict:
@@ -250,7 +252,10 @@ def potential_from_json(obj) -> IIDFrom | Fixed:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ms.MeasureFormatError("potential: expected an object with a 'kind'")
     if obj["kind"] == "fixed":
-        return Fixed(np.asarray(obj.get("values"), dtype=float))
+        values = obj.get("values")
+        if not isinstance(values, list) or any(isinstance(x, bool) for x in values):
+            raise ms.MeasureFormatError("potential.values: expected a list of numbers")
+        return Fixed(values)
     if obj["kind"] == "iid":
         return IIDFrom(ms.from_json(obj.get("measure")))
     raise ms.MeasureFormatError(f"potential.kind: unknown variant {obj['kind']!r}")

@@ -226,14 +226,18 @@ def from_json(obj) -> Measure:
     if kind == "atomic":
         atoms = obj.get("atoms")
         if not isinstance(atoms, list) or not atoms or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in atoms):
-            raise MeasureFormatError("measure.atoms: expected a nonempty list of [x, w] pairs")
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and not any(isinstance(x, bool) for x in p) for p in atoms):
+            raise MeasureFormatError(
+                "measure.atoms: expected a nonempty list of [x, w] number pairs")
         try:
             return Atomic(np.array([p[0] for p in atoms], dtype=float),
                           np.array([p[1] for p in atoms], dtype=float))
         except (TypeError, ValueError) as e:
             raise MeasureFormatError(f"measure.atoms: {e}") from e
     if kind == "jacobi":
+        if any(isinstance(obj.get(key), bool) for key in "ab"):
+            raise MeasureFormatError("measure.a/b: expected numbers, got a boolean")
         try:
             return Jacobi(float(obj["a"]), float(obj["b"]))
         except KeyError as e:

@@ -16,10 +16,11 @@ provides
     window, which is the form whose seed averages exhibit the
     cancellation rate.
 
-Every quantity comes from one real eigendecomposition A = U diag(mu) U^T:
-green returns U diag(1/(mu - z)) U^T, and optical_window, which evaluates
-the sum rule at many spectral points of one matrix, reads the diagonals it
-needs at every point from one real matrix product.
+Each public function checks its matrix as ensemble.eigenvalues does.
+Every quantity comes from one real eigendecomposition A = U diag(mu) U^T,
+numpy's dsyevd (see ensemble): green returns U diag(1/(mu - z)) U^T, and
+optical_window, which evaluates the sum rule at many spectral points of one
+matrix, reads the diagonals it needs at every point from one matrix product.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import edgescale as es
+from . import ensemble as ens
 from . import freeconv as fc
 from . import measure as ms
 
@@ -44,25 +45,18 @@ _HALFWIDTH = 3.0  # optical_window's half-width, in units of N^(-2/3),
 _POINTS = 13  # and its number of spectral points
 
 
-def _square_real(h) -> np.ndarray:
-    arr = np.asarray(h, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def green(h, z) -> np.ndarray:
     """Resolvent (h - z)^(-1) of a real symmetric matrix at Im z > 0.
 
     U diag(1/(mu - z)) U^T from the eigendecomposition h = U diag(mu) U^T,
-    the same scipy.linalg.eigh call that optical_window makes; the complex
-    right factor diag(1/(mu - z)) U^T is read as real pairs, so the product
-    is one real matrix product.
+    the same numpy.linalg.eigh call that optical_window makes.  The complex
+    right factor diag(1/(mu - z)) U^T is built C-ordered, so it can be read
+    as real pairs and the product is one real matrix product.
     """
-    arr = _square_real(h)
+    arr = ens._symmetric(h)
     zc = ms.as_upper_half(z)
-    mu, vec = scipy.linalg.eigh(arr)
-    g = (vec @ (vec.T / (mu - zc)[:, None]).view(float)).view(complex)
+    mu, vec = np.linalg.eigh(arr)
+    g = (vec @ np.divide(vec.T, (mu - zc)[:, None], order="C").view(float)).view(complex)
     if not np.all(np.isfinite(g)):
         raise np.linalg.LinAlgError("resolvent has non-finite entries")
     return g
@@ -87,7 +81,7 @@ def verify_identities(h, z, i: int, j: int, k: int) -> dict[str, float]:
     The indices must be pairwise distinct; each identity demands it for
     at least one pair.
     """
-    arr = _square_real(h)
+    arr = ens._symmetric(h)
     n = arr.shape[0]
     if len({int(i), int(j), int(k)}) < 3:
         raise ValueError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
@@ -135,7 +129,7 @@ def local_law_residuals(h, scaling: es.EdgeScaling, z,
     where m_fc is the Stieltjes transform of the rescaled deformed law and
     v_i are the potential values the sample H was drawn with.
     """
-    arr = _square_real(h)
+    arr = ens._symmetric(h)
     n = arr.shape[0]
     zc = ms.as_upper_half(z)
     eta = zc.imag
@@ -180,12 +174,12 @@ def optical_window(h, scaling: es.EdgeScaling, eta: float,
     (G^2)_ii at every z are (U*U) applied to the columns 1/(mu - z) and
     1/(mu - z)^2, stacked and read as real numbers.
     """
-    arr = _square_real(h)
+    arr = ens._symmetric(h)
     n = arr.shape[0]
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     v = _potential_values(arr, potential)
-    mu, vec = scipy.linalg.eigh(scaling.gamma * arr)
+    mu, vec = np.linalg.eigh(scaling.gamma * arr)
     w = (scaling.lam * scaling.gamma * v - scaling.tau) ** (-2.0)
     z = scaling.l_plus + np.linspace(-_HALFWIDTH, _HALFWIDTH, _POINTS) \
         * n ** (-2.0 / 3.0) + 1j * eta

@@ -320,6 +320,12 @@ BAD_VALUES = [
     # an integer key took a boolean as 0 or 1
     ("mc-edge", [], {"seed": True}), ("mc-edge", [], {"n": True}),
     ("mc-edge", [], {"workers": True}),
+    # a JSON boolean in a measure or a fixed potential ran as 0 or 1
+    ("edge-scaling", ["--measure", '{"type":"jacobi","a":true,"b":1}'], None),
+    ("edge-scaling", ["--measure",
+                      '{"type":"atomic","atoms":[[false,0.5],[true,0.5]]}'], None),
+    ("sample", ["--N", "2", "--potential",
+                '{"kind":"fixed","values":[true,false]}'], None),
 ]
 
 

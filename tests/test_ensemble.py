@@ -4,6 +4,7 @@ tests/data/eig50.json holds a 30-digit mpmath spectrum of the fixed-seed
 50x50 matrix (scripts/gen_eig50.py) as an independent solver oracle.
 """
 
+import ast
 import json
 import pathlib
 
@@ -19,6 +20,7 @@ from dwedge.rngstream import stream
 
 TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dwedge"
 
 
 def two_atom_spec(n=500, lam0=0.5, law=en.GAUSSIAN, seed=7):
@@ -232,6 +234,39 @@ def test_eigenvalues_leave_the_input_unchanged(top):
     before = h.tobytes()
     en.eigenvalues(h, top=top)
     assert h.tobytes() == before
+
+
+def _scipy_linalg_uses(tree: ast.AST) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+            [f"{node.module}.{a.name}" for a in node.names] \
+            if isinstance(node, ast.ImportFrom) else []
+        out += [f"line {node.lineno}: imports {name}" for name in names
+                if (name + ".").startswith("scipy.linalg.")]
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                and isinstance(node.value, ast.Name) and node.value.id == "scipy":
+            out.append(f"line {node.lineno}: reads scipy.linalg")
+    return out
+
+
+def test_only_ensemble_uses_scipy_linalg():
+    # every full eigendecomposition is numpy's dsyevd, on the OpenBLAS of
+    # the products around it; scipy serves only _top_eigenvalues' partial
+    # spectra (the ensemble docstring)
+    found = {path.name: bad for path in sorted(SRC.glob("*.py"))
+             if path.name != "ensemble.py"
+             and (bad := _scipy_linalg_uses(ast.parse(path.read_text())))}
+    assert not found, f"full decompositions go through numpy.linalg.eigh: {found}"
+    assert _scipy_linalg_uses(ast.parse((SRC / "ensemble.py").read_text()))
+    # the guard sees what it looks for
+    probe = ast.parse("import scipy.linalg\n"
+                      "from scipy import linalg\n"
+                      "from scipy.linalg import eigh\n"
+                      "import scipy\nscipy.linalg.eigh(a)\n")
+    assert _scipy_linalg_uses(probe) == [
+        "line 1: imports scipy.linalg", "line 2: imports scipy.linalg",
+        "line 3: imports scipy.linalg.eigh", "line 5: reads scipy.linalg"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -48,6 +48,12 @@ def test_green_is_the_resolvent():
 def test_green_rejects_bad_input():
     with pytest.raises(ValueError):
         rv.green(np.zeros((3, 4)), 1j)
+    # the check ensemble.eigenvalues makes; LAPACK reads one triangle, so
+    # without it this is the resolvent of the zero matrix
+    with pytest.raises(ValueError, match="not symmetric"):
+        rv.green([[0.0, 1.0], [0.0, 0.0]], 1j)
+    with pytest.raises(ValueError, match="non-finite"):
+        rv.green([[np.nan, 0.0], [0.0, 1.0]], 1j)
     with pytest.raises(ValueError):
         rv.green(np.eye(3), 2.0)  # real axis
     with pytest.raises(ValueError):
@@ -144,6 +150,13 @@ def test_local_law_explicit_potential_shape():
         rv.local_law_residuals(h, sc, 1j, potential=np.zeros(7))
 
 
+def test_local_law_rejects_a_non_symmetric_matrix():
+    h = goe_like(20, 10)
+    h[0, 1] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        rv.local_law_residuals(h, es.build(TWO, 0.5), 1j, np.zeros(20))
+
+
 # ------------------------------------------------ optical cancellation
 
 
@@ -220,3 +233,6 @@ def test_optical_window_validation():
         rv.optical_window(h, sc, 0.0, v)
     with pytest.raises(ValueError):
         rv.optical_window(h, sc, 0.1, potential=np.zeros(4))
+    h[0, 1] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        rv.optical_window(h, sc, 0.1, v)
