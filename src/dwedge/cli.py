@@ -262,7 +262,8 @@ def cmd_mc_edge(cfg: dict) -> int:
     summary = _summary("mc-edge", cfg, n=len(result.samples), ks=result.ks,
                        law=tw.TW1, params={"e_plus_mean": float(np.mean(result.e_plus)),
                                            "gamma0_mean": float(np.mean(result.gamma0))},
-                       seed=spec.seed, runtime=result.runtime)
+                       dsyevr_fallbacks=result.dsyevr_fallbacks, seed=spec.seed,
+                       runtime=result.runtime)
     _emit(summary, cfg["out"], csv_text)
     return 0
 
@@ -282,6 +283,7 @@ def cmd_regime(cfg: dict) -> int:
         "N": o["N"], "lam0": o["lam0"], "case": o["case"],
         "law": o["law"].variant, "sigma2": o["law"].sigma2,
         "e_plus": o["e_plus"], "ks": o["ks"], "n": o["n_samples"],
+        "dsyevr_fallbacks": o["dsyevr_fallbacks"],
     } for o in outs]
     _emit(_summary("regime", cfg, verdicts=verdicts), cfg["out"],
           _csv("N,sample,stat", ((o["N"], idx, x) for o in outs

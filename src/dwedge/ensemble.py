@@ -7,17 +7,18 @@ E w_ij^2 = 1/N off the diagonal and (1 + c2)/N on it.  The diagonal of W is
 removed by default; the resulting shift of the extreme eigenvalues is
 O(N^(-1)) and every experiment in the package runs in that convention.
 
-Every full symmetric eigendecomposition, with or without vectors
-(eigenvalues() and resolvent), is dsyevd through numpy, on the OpenBLAS of
-the products around it.  scipy serves only partial spectra: dsyevr for the
-top k (the edge statistics read mu_1 .. mu_k and nothing below), and for
-the top one alone ssyevr on a float32 copy, accepted only with a
-double-precision certificate that it is within 1e-10 * ||H|| of mu_1
-(_top_eigenvalues).  That route's norm, QR and product stay on scipy's
-OpenBLAS: numpy and scipy bundle separate builds, whose thread pools spin
-against each other when one solve switches between them.  Backward error
-of either double factorization is far below the contract, and both routes
-are spot-checked in the tests against a high-precision oracle at N = 50.
+Every eigensolve runs on one OpenBLAS, the one bundled in numpy's wheel.
+Full symmetric eigendecompositions, with or without vectors (eigenvalues()
+and resolvent), are dsyevd through numpy.  Partial spectra are its LAPACKE
+?syevr, bound with ctypes (_evr): dsyevr for the top k (the edge
+statistics read mu_1 .. mu_k and nothing below), and for the top one alone
+ssyevr on a float32 copy, accepted only with a double-precision
+certificate that it is within 1e-10 * ||H|| of mu_1 (_top_eigenvalues),
+whose norm, QR and product are numpy's too.  A numpy without that library
+makes the same ?syevr calls through scipy.linalg, imported on first use.
+Backward error of either double factorization is far below the contract,
+and both routes are spot-checked in the tests against a high-precision
+oracle at N = 50.
 
 Checks live at the entries: _symmetric() checks any matrix handed to
 eigenvalues() or to resolvent (square, finite, symmetric) and never
@@ -30,11 +31,13 @@ works on the matrix in place; the float32 route makes one float32 copy.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import measure as ms
 
@@ -168,13 +171,57 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
     return decay * h + np.sqrt(1.0 - decay * decay) * goe
 
 
-def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
-    """The k largest eigenvalues of a finite, exactly symmetric matrix,
-    descending.  Unchecked, and h may be destroyed.
+def _lapacke_syevr() -> dict:
+    """LAPACKE ?syevr of the ILP64 OpenBLAS bundled in numpy's wheel
+    (numpy.libs), keyed by dtype; empty when numpy was built without it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "*openblas64_*.so*"))[0])
+        fns = {np.dtype(t): getattr(lib, f"scipy_LAPACKE_{c}syevr64_")
+               for c, t in (("s", np.float32), ("d", np.float64))}
+    except (IndexError, OSError, AttributeError):
+        return {}
+    for dtype, fn in fns.items():
+        i, p, x = ctypes.c_int64, ctypes.c_void_p, np.ctypeslib.as_ctypes_type(dtype)
+        # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+        fn.argtypes = [ctypes.c_int, *[ctypes.c_char] * 3, i, p, i, x, x, i, i, x, p, p, p, i, p]
+        fn.restype = i
+    return fns
 
-    k > 1 (or N = 1) runs LAPACK dsyevr in place on h.T, the same matrix
-    already in Fortran order, so nothing is copied and the result is
-    bit-for-bit that of eigh(h).
+
+_SYEVR = _lapacke_syevr()
+
+
+def _evr(a: np.ndarray, lo: int, vectors: bool) -> tuple:
+    """(w, z): eigenvalues lo .. n-1 (ascending) of the symmetric contiguous a
+    and, with vectors, their eigenvectors as columns, by ?syevr on a's buffer
+    read column-major (a.T = a) as scipy.linalg.eigh(a.T, driver="evr") does
+    it (and does when _SYEVR is empty).  a is destroyed."""
+    n, k = a.shape[0], a.shape[0] - lo
+    if not (a.shape == (n, n) and a.flags.forc and a.flags.writeable):
+        raise ValueError("?syevr needs a writeable contiguous square matrix")
+    if not _SYEVR:
+        import scipy.linalg
+        out = scipy.linalg.eigh(a.T, eigvals_only=not vectors, overwrite_a=True,
+                                check_finite=False, subset_by_index=[lo, n - 1], driver="evr")
+        return out if vectors else (out, None)
+    w, z = np.empty(n, a.dtype), np.empty((k, n), a.dtype)
+    m, isuppz = np.zeros(1, np.int64), np.empty(2 * k, np.int64)
+    info = _SYEVR[a.dtype](102, b"V" if vectors else b"N", b"I", b"L", n, a.ctypes.data, n,
+                           0, 0, lo + 1, n, 0, m.ctypes.data, w.ctypes.data, z.ctypes.data,
+                           n, isuppz.ctypes.data)
+    if info:  # -6: a NaN in a (LAPACKE's scan); > 0: no convergence
+        raise np.linalg.LinAlgError(f"?syevr failed with info = {info}")
+    return w[:m[0]], z[:m[0]].T if vectors else None
+
+
+def _top_eigenvalues(h: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """The k largest eigenvalues of a finite, exactly symmetric matrix,
+    descending, and whether a k = 1 solve fell back to dsyevr.  Unchecked,
+    and h may be destroyed.
+
+    k > 1 (or N = 1) runs dsyevr in place on h (_evr), so nothing is
+    copied and the result is bit-for-bit that of eigh(h, driver="evr").
 
     k = 1 first solves the top two pairs (mu2', mu1') of fl32(H) by ssyevr
     on one float32 copy, then takes one Rayleigh-Ritz step in double on
@@ -192,27 +239,21 @@ def _top_eigenvalues(h: np.ndarray, k: int) -> np.ndarray:
     falls back to the in-place dsyevr.
     """
     n = h.shape[0]
-    fro = (scipy.linalg.norm(h.ravel(), check_finite=False)
-           if k == 1 and n > 1 else np.inf)
+    fro = np.linalg.norm(h.ravel()) if k == 1 and n > 1 else np.inf
     if fro <= _F32_MAX:
-        mu, x = scipy.linalg.eigh(h.T.astype(np.float32, order="F"),
-                                  overwrite_a=True, check_finite=False,
-                                  subset_by_index=[n - 2, n - 1], driver="evr")
-        q, _ = scipy.linalg.qr(x.astype(float), mode="economic",
-                               check_finite=False)
-        y = scipy.linalg.blas.dgemm(1.0, h.T, q)  # h.T is h, in Fortran order
+        mu, x = _evr(h.astype(np.float32), n - 2, vectors=True)
+        q, _ = np.linalg.qr(x.astype(float))
+        y = h @ q
         theta, z = np.linalg.eigh(q.T @ y)
         top, z1 = theta[-1], z[:, -1]
         r = np.linalg.norm(y @ z1 - top * (q @ z1))
         delta = top - (mu[0] + (_U32 + 4.0 * _EPS32) * fro + n * _TINY32)
         if delta > r and r * r / delta <= 1e-10 * abs(top):
-            return theta[-1:]
-    w = scipy.linalg.eigh(h.T, eigvals_only=True, overwrite_a=True,
-                          check_finite=False, subset_by_index=[n - k, n - 1],
-                          driver="evr")
+            return theta[-1:], False
+    w, _ = _evr(np.ascontiguousarray(h, dtype=float), n - k, vectors=False)
     if w.size != k:
         raise np.linalg.LinAlgError(f"dsyevr found {w.size} of {k} eigenvalues")
-    return w[::-1]
+    return w[::-1], k == 1
 
 
 def _symmetric(h) -> np.ndarray:
@@ -239,7 +280,7 @@ def eigenvalues(h: np.ndarray, top: int | None = None) -> np.ndarray:
         return np.linalg.eigvalsh(arr)[::-1]
     if not 1 <= top <= arr.shape[0]:
         raise ValueError(f"need 1 <= top <= N = {arr.shape[0]}, got {top}")
-    return _top_eigenvalues(np.array(arr), top)
+    return _top_eigenvalues(np.array(arr), top)[0]
 
 
 def potential_to_json(potential: IIDFrom | Fixed) -> dict:

@@ -16,11 +16,11 @@ Stieltjes transform m(z) = integral dnu(v) / (v - z), Im z > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, hyp2f1
 
 
 class MeasureFormatError(ValueError):
@@ -74,7 +74,9 @@ class Jacobi:
     @property
     def log_norm(self) -> float:
         # Z = 2^(a+b+1) B(a+1, b+1)
-        return (self.a + self.b + 1) * np.log(2.0) + betaln(self.a + 1, self.b + 1)
+        a, b = self.a, self.b
+        return ((a + b + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1)
+                - math.lgamma(a + b + 2))
 
     def density(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -117,6 +119,7 @@ def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
             t /= d
         val = np.sum(t, axis=-1)
     else:
+        from scipy.special import hyp2f1
         front, x = (-1.0 / (p + scale)) ** n, 2.0 * scale / (p + scale)
         a1, c = m.a + 1.0, m.a + m.b + 2.0
         val = front * hyp2f1(n, a1, c, x)

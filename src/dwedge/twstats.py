@@ -8,7 +8,8 @@ integrals that make up F_1 and F_2 alongside q itself.  The integrator is
 a fixed-step classical RK4 (h = 0.0025) in plain floats, so no part of the
 package loads scipy.integrate; F_1 and F_2 are stored on its lattice and
 read by linear interpolation, within 2.6e-7 of the exact CDFs and within
-2.0e-10 at the nodes.  The Airy initial data comes from scipy.special.airy.
+2.0e-10 at the nodes.  The Airy initial data at s = 8 is five stored
+numbers (_AIRY_DATA), which the tests recompute from scipy.special.airy.
 The tests pin the result against an independent Ferrari-Spohn Fredholm
 determinant, which agrees to 2e-10 at the points they check.
 
@@ -34,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy, ndtr
 
 from . import edgescale as es
 from . import ensemble as ens
@@ -58,8 +58,12 @@ _VARIANTS = (TW1, GAUSS, TW1_GAUSS_CONV)
 
 _S_RIGHT = 8.0
 _S_LEFT = -8.3
-_S_TAIL = 14.0
 _H = 0.0025
+# q = Ai(8), q' = Ai'(8) and, with q ~ Ai, the tail integrals J, R, I of
+# _painleve on [8, 14] (beyond, the integrands are below 1e-16) by 64-node
+# Gauss-Legendre; test_twstats recomputes them from scipy.special.airy.
+_AIRY_DATA = (4.6922076160992236e-08, -1.3414392979067844e-07,
+              1.609084973298268e-08, 3.8114404962281043e-16, 6.533563206931577e-17)
 
 
 @functools.lru_cache(maxsize=1)
@@ -68,9 +72,8 @@ def _painleve() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     State is [q, q', J, R, I] with J = int_s^inf q, R = int_s^inf q^2,
     I = int_s^inf (x - s) q^2, so that F2 = exp(-I) and
-    F1 = exp(-J/2) sqrt(F2).  Initial tail integrals at s = 8 use the
-    Airy approximation q ~ Ai (scipy.special.airy), integrated to 14 by
-    64-node Gauss-Legendre (beyond 14 the integrands are below 1e-16).
+    F1 = exp(-J/2) sqrt(F2).  The initial state at s = 8 is _AIRY_DATA, the
+    Airy approximation q ~ Ai with its tail integrals.
 
     The system is stepped by classical fourth-order Runge-Kutta with the
     fixed step h = 0.0025, four steps per 0.01 of _GRID, in plain floats.
@@ -86,15 +89,7 @@ def _painleve() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     -8.3; both CDFs are below 1e-8 there, so values further left are
     pinned to zero (well inside the 1e-6 accuracy contract).
     """
-    ai0, aip0, _, _ = airy(_S_RIGHT)
-    x, w = np.polynomial.legendre.leggauss(64)
-    half = 0.5 * (_S_TAIL - _S_RIGHT)
-    xs = _S_RIGHT + half * (x + 1.0)
-    vals = airy(xs)[0]
-    j = half * float(w @ vals)
-    r = half * float(w @ (vals * vals))
-    i = half * float(w @ ((xs - _S_RIGHT) * vals * vals))
-    q, p = float(ai0), float(aip0)
+    q, p, j, r, i = _AIRY_DATA
     n_steps = round((_S_RIGHT - _S_LEFT) / _H)
     h, hh, h6 = -_H, -0.5 * _H, -_H / 6.0
     js, is_ = [j], [i]
@@ -156,6 +151,7 @@ def tw_cdf(beta: int, s: float) -> float:
 # Limit laws with cached CDF tables.
 
 _GRID = np.linspace(-10.0, 6.0, 1601)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def _law_table(variant: str, sigma2: float) -> np.ndarray:
 def law_cdf(law: LimitLaw, s):
     """CDF of a limit law at s (scalar or array)."""
     if law.variant == GAUSS:
-        out = ndtr(np.asarray(s, dtype=float) / math.sqrt(law.sigma2))
+        out = 0.5 * _erfc(-np.asarray(s, dtype=float) / math.sqrt(2.0 * law.sigma2))
     else:
         table = _law_table(law.variant, float(law.sigma2))
         out = np.interp(s, _GRID, table, left=0.0, right=1.0)
@@ -266,7 +262,8 @@ def _check_n_samples(n_samples) -> None:
 
 def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
                rescale=None) -> list:
-    """(top k eigenvalues, rescale(nu-hat)) per draw, in sample order.
+    """(top k eigenvalues, whether a top-1 solve fell back to dsyevr,
+    rescale(nu-hat)) per draw, in sample order.
 
     Sample j draws (H, V) through rngstream.draws on the stream
     (spec.seed, label, j), so no row depends on another.  rescale of the
@@ -278,7 +275,7 @@ def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
     def one(rng) -> tuple:
         h, v = ens.sample_deformed(spec, rng)
         aux = shared if fixed or rescale is None else rescale(ms.empirical_from_values(v))
-        return ens._top_eigenvalues(h, k), aux
+        return (*ens._top_eigenvalues(h, k), aux)
 
     return rngstream.draws(spec.seed, label, range(n_samples), one)
 
@@ -313,7 +310,7 @@ def rigidity_report(spec: ens.EnsembleSpec, n_samples: int, k_max: int) -> dict:
                             sc.l_plus + _RIG_PAD, _RIG_POINTS, _RIG_ETA)
         return sc.gamma, np.asarray(classical_locations(sol, n, ks))
 
-    stats = np.array([pref * np.abs(gamma * mu - gam) for mu, (gamma, gam)
+    stats = np.array([pref * np.abs(gamma * mu - gam) for mu, _, (gamma, gam)
                       in _top_draws(spec, "rigidity", n_samples, k_max, locations)])
     med = np.median(stats, axis=0)
     p95 = np.quantile(stats, 0.95, axis=0)
@@ -333,11 +330,13 @@ class MCRunResult:
     """Rescaled edge samples, shape (n_samples, top_k) with rows descending,
     the per-sample constants e_plus and gamma0 (recomputed from each
     potential draw, constant under a Fixed potential), and ks, the distance
-    of the first column to TW1."""
+    of the first column to TW1; dsyevr_fallbacks counts the top-1 solves
+    whose float32 certificate failed (ensemble._top_eigenvalues)."""
     samples: np.ndarray
     e_plus: np.ndarray
     gamma0: np.ndarray
     ks: float
+    dsyevr_fallbacks: int
     runtime: float
 
 
@@ -357,11 +356,12 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1) -> MCRunResu
     n23 = spec.N ** (2.0 / 3.0)
     rows = _top_draws(spec, "mc_edge", n_samples, top_k,
                       lambda nu_hat: es.build(nu_hat, spec.lam0))
-    samples = np.array([sc.gamma * n23 * (mu - sc.e_plus) for mu, sc in rows])
+    samples = np.array([sc.gamma * n23 * (mu - sc.e_plus) for mu, _, sc in rows])
     return MCRunResult(samples=samples,
-                       e_plus=np.array([sc.e_plus for _, sc in rows]),
-                       gamma0=np.array([sc.gamma for _, sc in rows]),
+                       e_plus=np.array([sc.e_plus for _, _, sc in rows]),
+                       gamma0=np.array([sc.gamma for _, _, sc in rows]),
                        ks=ks_statistic(samples[:, 0], LimitLaw(TW1)),
+                       dsyevr_fallbacks=sum(fell for _, fell, _ in rows),
                        runtime=time.perf_counter() - t0)
 
 
@@ -416,7 +416,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             pref = math.sqrt(n) / lam0
             e_hat = rngstream.draws(seed, f"regime{n}", range(n_samples), lambda rng: es.build(
                 ms.empirical_from_values(ms.sample(nu, n, rng)), lam0).e_plus)
-            stats = pref * (np.array(e_hat) - e_plus)
+            stats, fallbacks = pref * (np.array(e_hat) - e_plus), 0
         else:
             if case == "ii":
                 law = LimitLaw(TW1_GAUSS_CONV,
@@ -429,11 +429,13 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
                                     c2=ens.edge_matched_c2(ens.GAUSSIAN),
                                     zero_diagonal=False, seed=seed)
             pref = n ** (2.0 / 3.0)
-            stats = np.array([pref * (mu[0] - e_plus) for mu, _ in
-                              _top_draws(spec, f"regime{n}", n_samples, 1)])
+            rows = _top_draws(spec, f"regime{n}", n_samples, 1)
+            stats = np.array([pref * (mu[0] - e_plus) for mu, _, _ in rows])
+            fallbacks = sum(fell for _, fell, _ in rows)
         out.append({
             "N": n, "lam0": lam0, "case": case, "law": law,
             "n_samples": n_samples, "e_plus": e_plus,
             "ks": ks_statistic(stats, law), "samples": stats,
+            "dsyevr_fallbacks": fallbacks,
         })
     return out

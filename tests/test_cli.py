@@ -419,6 +419,7 @@ def test_mc_edge_rerun_is_byte_identical(tmp_path):
     assert summary["n"] == 25
     assert summary["law"] == tw.TW1
     assert summary["runtime"] > 0.0
+    assert summary["dsyevr_fallbacks"] == 0
     assert summary["config"]["c2"] == 1.0  # matched diagonal resolved
 
 
@@ -518,6 +519,7 @@ def test_regime_critical_names_convolution_law(tmp_path):
     verdict = json.loads(out.with_suffix(".json").read_text())["verdicts"][0]
     assert verdict["case"] == "ii"
     assert verdict["law"] == "tw1_gauss_conv"
+    assert verdict["dsyevr_fallbacks"] == 0
     rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert rows.shape == (20, 3)
     assert set(rows[:, 0]) == {80.0}
@@ -672,38 +674,52 @@ def test_parser_flags_match_defaults(name, capsys):
 # Start-up: the import closure of the CLI.
 
 _IMPORT_PROBE = """
-import contextlib, io, os, sys
-import numpy as np
+import contextlib, io, json, os, sys
 import dwedge.cli as cli
+
+def loaded():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+          file=sys.__stdout__)
+
+loaded()
+import numpy as np
 from dwedge import edgescale as es, freeconv as fc, measure as ms, twstats as tw
-
-def unwanted():
-    print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse")
-                 if m in sys.modules))
-
 es.build(ms.empirical_from_values(np.linspace(-1.0, 1.0, 500)), 0.5)
 sol = fc.solve_grid(ms.Atomic([0.0], [1.0]), 0.0, 1.0, -2.05, 2.05, 201, 1e-7)
 tw.classical_locations(sol, 100, [1, 2])
-unwanted()
 tw.law_cdf(tw.LimitLaw(tw.TW1), 0.0)
+tw.law_cdf(tw.LimitLaw(tw.GAUSS, 1.0), 0.0)
 tw.tw_cdf(2, 0.0)
 tw.tw_cdf(1, 0.0)
-unwanted()
+loaded()
+jacobi = json.dumps({"type": "jacobi", "a": 1, "b": 1})
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["mc-edge", "--N", "20", "--n", "3"],
                  ["regime", "--sizes", "20", "--n", "3"],
-                 ["tw-table", "--step", "0.5"]):
-        assert cli.main(argv + ["--out", os.path.join(sys.argv[1], argv[0])]) == 0
-unwanted()
+                 ["tw-table", "--step", "0.5"],
+                 ["verify", "--suite", "identities", "--seeds", "2"],
+                 ["edge-scaling"],
+                 ["edge-scaling", "--measure", jacobi]):
+        if "--measure" not in argv:
+            print(argv[0], cli.main(argv + ["--out", os.path.join(sys.argv[1], argv[0])]),
+                  file=sys.stderr)
+            loaded()
+        else:
+            print(argv[0], cli.main(argv), file=sys.stderr)
 """
 
 
-def test_start_up_never_loads_scipy_integrate(tmp_path):
-    # every command is a fresh process, so each scipy subpackage the import
-    # pulls in is paid on every run; the Painleve table steps its own RK4
+def test_start_up_and_atomic_commands_never_load_scipy(tmp_path):
+    # every command is a fresh process, so each scipy module the import
+    # pulls in is paid on every run: the Painleve table steps its own RK4
+    # from stored Airy data, the eigensolves bind numpy's own LAPACK, and
+    # scipy.special is imported only for Jacobi laws
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[]", "[]"]
+    assert out.stdout.splitlines() == ["[]"] * 7
+    assert out.stderr.splitlines() == [
+        "mc-edge 0", "regime 0", "tw-table 0", "verify 0", "edge-scaling 0",
+        "edge-scaling 0"]

@@ -167,8 +167,8 @@ def test_in_place_solve_matches_the_checked_entry(k):
     # 5.4e-14 ||H||)
     h, _ = en.sample_deformed(two_atom_spec(n=300), stream(14, "inplace", k))
     norm = np.linalg.norm(h, 2)
-    fast = en._top_eigenvalues(h.copy(), k)
-    assert fast.shape == (k,)
+    fast, fell_back = en._top_eigenvalues(h.copy(), k)
+    assert fast.shape == (k,) and fell_back is False
     np.testing.assert_allclose(fast, en.eigenvalues(h, top=k),
                                rtol=0, atol={1: 0.0, 20: 1e-13}[k] * norm)
     np.testing.assert_allclose(fast, en.eigenvalues(h)[:k],
@@ -176,8 +176,8 @@ def test_in_place_solve_matches_the_checked_entry(k):
 
 
 def _lapack_calls(count_calls):
-    """The dtypes of the matrices scipy.linalg.eigh is called on."""
-    calls = count_calls(scipy.linalg, "eigh")
+    """The dtypes of the matrices the ?syevr binding is called on."""
+    calls = count_calls(en, "_evr")
     return lambda: [args[0].dtype for args in calls]
 
 
@@ -211,6 +211,7 @@ def test_top_one_calls_dsyevr_only_when_the_certificate_fails(
     dtypes = _lapack_calls(count_calls)
     top = en.eigenvalues(h, top=1)
     assert dtypes().count(np.float64) == dsyevr_calls
+    assert en._top_eigenvalues(h.copy(), 1)[1] == degenerate
     np.testing.assert_allclose(top, np.linalg.eigvalsh(h)[-1:], rtol=0,
                                atol=1e-12 * np.linalg.norm(h, 2))
 
@@ -250,15 +251,20 @@ def _scipy_linalg_uses(tree: ast.AST) -> list[str]:
     return out
 
 
-def test_only_ensemble_uses_scipy_linalg():
-    # every full eigendecomposition is numpy's dsyevd, on the OpenBLAS of
-    # the products around it; scipy serves only _top_eigenvalues' partial
-    # spectra (the ensemble docstring)
-    found = {path.name: bad for path in sorted(SRC.glob("*.py"))
-             if path.name != "ensemble.py"
-             and (bad := _scipy_linalg_uses(ast.parse(path.read_text())))}
-    assert not found, f"full decompositions go through numpy.linalg.eigh: {found}"
-    assert _scipy_linalg_uses(ast.parse((SRC / "ensemble.py").read_text()))
+def test_scipy_linalg_is_only_the_lazy_fallback():
+    # every eigensolve runs on numpy's OpenBLAS; scipy.linalg serves only
+    # ensemble._evr's fallback for a numpy without the bundled library, and
+    # no module imports it at module level (the ensemble docstring)
+    found, fallback = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if path.name == "ensemble.py" and getattr(node, "name", None) == "_evr":
+                fallback = _scipy_linalg_uses(node)
+            elif bad := _scipy_linalg_uses(node):
+                found.setdefault(path.name, []).extend(bad)
+    assert not found, f"partial spectra go through ensemble._evr: {found}"
+    assert [use.split(": ")[1] for use in fallback] == [
+        "imports scipy.linalg", "reads scipy.linalg"]
     # the guard sees what it looks for
     probe = ast.parse("import scipy.linalg\n"
                       "from scipy import linalg\n"
@@ -267,6 +273,54 @@ def test_only_ensemble_uses_scipy_linalg():
     assert _scipy_linalg_uses(probe) == [
         "line 1: imports scipy.linalg", "line 2: imports scipy.linalg",
         "line 3: imports scipy.linalg.eigh", "line 5: reads scipy.linalg"]
+
+
+needs_binding = pytest.mark.skipif(not en._SYEVR,
+                                   reason="numpy without its bundled OpenBLAS")
+
+
+@needs_binding
+@pytest.mark.parametrize("n", [200, 500])
+def test_binding_matches_scipy_evr_bit_for_bit(n):
+    h, _ = en.sample_deformed(two_atom_spec(n=n), stream(16, "evr", n))
+    for k in (1, 20):
+        w, z = en._evr(h.copy(), n - k, vectors=False)
+        assert z is None
+        assert w.tobytes() == scipy.linalg.eigh(
+            h, eigvals_only=True, subset_by_index=[n - k, n - 1], driver="evr").tobytes()
+    mu, x = en._evr(h.astype(np.float32), n - 2, vectors=True)
+    mu_s, x_s = scipy.linalg.eigh(h.astype(np.float32), subset_by_index=[n - 2, n - 1],
+                                  driver="evr")
+    assert mu.dtype == x.dtype == np.float32 and x.shape == (n, 2)
+    assert mu.tobytes() == mu_s.tobytes() and np.array_equal(x, x_s)
+
+
+@needs_binding
+def test_binding_reports_lapacke_errors():
+    # LAPACKE scans the lower triangle it reads for NaN: info = -6 (argument a)
+    h = np.eye(4)
+    h[1, 2] = h[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="info = -6"):
+        en._evr(h, 3, vectors=False)
+
+
+def test_evr_takes_only_a_writeable_contiguous_square_matrix():
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    for a in (np.eye(4)[::2, ::2], np.eye(4)[:3], frozen):
+        with pytest.raises(ValueError, match="writeable contiguous square"):
+            en._evr(a, 1, vectors=False)
+
+
+def test_without_the_bundled_library_scipy_solves_the_same(monkeypatch):
+    h, _ = en.sample_deformed(two_atom_spec(n=300), stream(16, "fallback"))
+    bound = [en._top_eigenvalues(h.copy(), k) for k in (1, 20)]
+    monkeypatch.setattr(en.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(en, "_SYEVR", en._lapacke_syevr())
+    assert en._SYEVR == {}
+    fallback = [en._top_eigenvalues(h.copy(), k) for k in (1, 20)]
+    for (w, fell), (w_s, fell_s) in zip(bound, fallback):
+        assert w.tobytes() == w_s.tobytes() and fell == fell_s
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -7,6 +7,8 @@ and the central moments are checked against tests/jacobi_reference.py, a
 30-digit mpmath quadrature.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +157,15 @@ def test_jacobi_central_moments_match_quadrature(a, b):
     for k in range(1, 9):
         want = float(ref.central_moment(a, b, k))
         assert ms.central_moment(med, k) == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (-0.4, 0.7), (2.0, 0.5),
+                                 (-0.9, 3.5), (10.0, 20.0)])
+def test_jacobi_log_norm_matches_scipy_betaln(a, b):
+    # log Z = (a+b+1) log 2 + log B(a+1, b+1), the beta part from math.lgamma
+    from scipy.special import betaln
+    got = ms.Jacobi(a, b).log_norm - (a + b + 1) * math.log(2.0)
+    assert got == pytest.approx(betaln(a + 1, b + 1), rel=1e-14, abs=0)
 
 
 def test_empirical_from_values_merges_duplicates():

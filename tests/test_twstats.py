@@ -4,9 +4,10 @@ The Painleve route is pinned by the Ferrari-Spohn Fredholm determinant in
 tests/tw_reference.py, which shares no code with it and agrees with
 itself to 1e-13 between 40 and 80 nodes and between the windows [0, 16]
 and [0, 20]; the table is within 2e-10 of it at the checked points, far
-inside the 1e-5 gate.  Both take their Airy values from scipy.special,
-so the determinant comparison, not a separate Airy test, covers the
-Painleve initial data.  One deliberate reading: the far-right-tail check
+inside the 1e-5 gate.  The determinant takes its Airy values from
+scipy.special; the Painleve initial data is five stored numbers, which
+test_airy_initial_data_is_scipy_airy recomputes from scipy.special.airy
+bit for bit.  One deliberate reading: the far-right-tail check
 at s = 6 uses 3e-6 for F1 because the true tail there is 1.94e-6 (the
 stated 1e-6 describes the evaluation accuracy, which the determinant
 comparison covers, not the distance of F1(6) from 1).
@@ -160,6 +161,29 @@ def test_gaussian_law_is_exact():
     assert tw.law_cdf(law, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
     law4 = tw.LimitLaw(tw.GAUSS, 4.0)
     assert tw.law_cdf(law4, 2.0) == pytest.approx(0.8413447460685429, abs=1e-12)
+
+
+def test_gaussian_law_matches_scipy_ndtr():
+    from scipy.special import ndtr
+    s = np.linspace(-12.0, 12.0, 20001)
+    for sigma2 in (1.0, 2.5):
+        np.testing.assert_allclose(tw.law_cdf(tw.LimitLaw(tw.GAUSS, sigma2), s),
+                                   ndtr(s / math.sqrt(sigma2)), rtol=0, atol=1e-15)
+
+
+def test_airy_initial_data_is_scipy_airy():
+    # the recipe behind the stored values: Ai(8), Ai'(8) and the tail
+    # integrals of Ai, Ai^2 and (x - 8) Ai^2 on [8, 14] by 64-node
+    # Gauss-Legendre
+    from scipy.special import airy
+    ai, aip, _, _ = airy(tw._S_RIGHT)
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * (14.0 - tw._S_RIGHT)
+    xs = tw._S_RIGHT + half * (x + 1.0)
+    vals = airy(xs)[0]
+    assert tw._AIRY_DATA == (
+        float(ai), float(aip), half * float(w @ vals), half * float(w @ (vals * vals)),
+        half * float(w @ ((xs - tw._S_RIGHT) * vals * vals)))
 
 
 def test_convolution_adds_variance():
@@ -386,6 +410,22 @@ def test_mc_edge_top2_matches_independent_goe():
         np.searchsorted(a, both, side="right") / a.size
         - np.searchsorted(b, both, side="right") / b.size)))
     assert d < 1.358 * math.sqrt(2.0 / reps)
+
+
+def test_harnesses_count_the_dsyevr_fallbacks(monkeypatch):
+    n = 60
+    spec = ens.EnsembleSpec(N=n, lam0=0.0, potential=ens.Fixed(np.zeros(n)), seed=5)
+    certified = tw.mc_edge(spec, 6)
+    assert certified.dsyevr_fallbacks == 0
+    assert tw.regime_test(TWO, 1.0, 0.5, [n], 4, 0)[0]["dsyevr_fallbacks"] == 0
+    # no float32 copy is in range: every top-1 solve falls back to dsyevr
+    monkeypatch.setattr(ens, "_F32_MAX", 0.0)
+    forced = tw.mc_edge(spec, 6)
+    assert forced.dsyevr_fallbacks == 6
+    np.testing.assert_allclose(forced.samples, certified.samples, rtol=0, atol=1e-8)
+    assert tw.mc_edge(spec, 6, top_k=2).dsyevr_fallbacks == 0
+    assert tw.regime_test(TWO, 1.0, 0.5, [n], 4, 0)[0]["dsyevr_fallbacks"] == 4
+    assert tw.regime_test(TWO, 1.0, 0.1, [n], 4, 0)[0]["dsyevr_fallbacks"] == 0
 
 
 def test_mc_edge_validation():
