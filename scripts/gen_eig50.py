@@ -15,7 +15,7 @@ from dwedge.rngstream import stream
 
 mp.mp.dps = 30
 
-w = sample_wigner(50, GAUSSIAN, 1.0, stream(2024, "eig50"), zero_diagonal=False)
+w = sample_wigner(50, GAUSSIAN, 1.0, stream(2024, "eig50"))
 a = mp.matrix([[mp.mpf(float(x)) for x in row] for row in w])
 ev = mp.mp.eigsy(a, eigvals_only=True)
 vals = sorted((float(ev[i]) for i in range(50)), reverse=True)

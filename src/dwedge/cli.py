@@ -64,6 +64,10 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = _load_json(args.config)
+        # summaries written before c2 = -1 replaced the zero_diagonal switch
+        if "c2" in defaults and isinstance(file_cfg.get("zero_diagonal"), bool):
+            if file_cfg.pop("zero_diagonal"):
+                file_cfg["c2"] = -1.0
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
@@ -164,8 +168,7 @@ def _spec_from_cfg(cfg: dict) -> ens.EnsembleSpec:
     return ens.EnsembleSpec(
         N=cfg["N"], lam0=cfg["lam0"],
         potential=_potential_arg(cfg["potential"], cfg["N"]),
-        law=cfg["law"], c2=c2, zero_diagonal=cfg["zero_diagonal"],
-        seed=cfg["seed"])
+        law=cfg["law"], c2=c2, seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,7 @@ def cmd_edge_scaling(cfg: dict) -> int:
 
 SAMPLE_DEFAULTS = {
     "N": 200, "lam0": 0.0, "potential": "zeros", "law": ens.GAUSSIAN,
-    "c2": 0.0, "zero_diagonal": True, "seed": 0, "n": 1,
+    "c2": -1.0, "seed": 0, "n": 1,
     "format": "csv", "out": None,
 }
 
@@ -248,7 +251,7 @@ def cmd_sample(cfg: dict) -> int:
 
 MC_DEFAULTS = {
     "N": 300, "lam0": 0.0, "potential": "zeros", "law": ens.GAUSSIAN,
-    "c2": "matched", "zero_diagonal": False, "seed": 0, "n": 200,
+    "c2": "matched", "seed": 0, "n": 200,
     "top_k": 1, "workers": 1, "out": None,
 }
 
@@ -293,7 +296,7 @@ def cmd_regime(cfg: dict) -> int:
 
 DBM_DEFAULTS = {
     "N": 200, "lam0": 0.0, "potential": "zeros", "law": ens.GAUSSIAN,
-    "c2": 0.0, "zero_diagonal": True, "seed": 0, "n": 50,
+    "c2": -1.0, "seed": 0, "n": 50,
     "times": [0.0, 1.0], "observable": "edge", "out": None,
 }
 
@@ -343,7 +346,7 @@ def _quantiles(xs) -> dict:
 def _verify_identities(seed: int, n_runs: int) -> dict:
     def worst(rng) -> float:
         n = 25
-        h = ens.sample_wigner(n, ens.GAUSSIAN, 1.0, rng, zero_diagonal=False)
+        h = ens.sample_wigner(n, ens.GAUSSIAN, 1.0, rng)
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.01, 1.0))
         i, j, k = rng.choice(n, size=3, replace=False)
         return max(rv.verify_identities(h, z, int(i), int(j), int(k)).values())
@@ -462,17 +465,6 @@ def _int_arg(raw) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
-def _switch_arg(raw) -> bool:
-    """0 or 1, or the JSON boolean a summary records for a switch; any other
-    value is refused here, since bool(5) would pass the flag's choices."""
-    if isinstance(raw, bool):
-        return raw
-    val = _int_arg(raw)
-    if val not in (0, 1):
-        raise argparse.ArgumentTypeError(f"expected 0, 1, true or false, got {raw!r}")
-    return bool(val)
-
-
 def _out_arg(raw) -> str:
     """An output stem, which a config file may give as a non-string."""
     if not isinstance(raw, str):
@@ -508,10 +500,8 @@ _FLAGS = {
                           "JSON of a summary"},
     "law": {"choices": [ens.GAUSSIAN, ens.RADEMACHER]},
     "c2": {"type": _c2_arg,
-           "help": "diagonal weight, or 'matched' for the edge-matched value "
-                   "1 - s4"},
-    "zero_diagonal": {"type": _switch_arg, "choices": [0, 1],
-                      "help": "1 to zero the diagonal, 0 for noisy diagonal"},
+           "help": "diagonal variance (1 + c2)/N: -1 (the default of sample "
+                   "and dbm) zeroes it, 'matched' gives 1 - s4"},
     "seed": {"type": _int_arg},
     "n": {"type": _int_arg, "help": "number of samples (dbm: of trajectories)"},
     "format": {"choices": ["csv", "binary"]},

@@ -45,7 +45,7 @@ def evolve(h: np.ndarray, dt: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"need dt > 0, got {dt}")
     decay = math.exp(-dt / 2.0)
     fresh = math.sqrt(-math.expm1(-dt))
-    xi = ens.sample_wigner(h.shape[0], ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
+    xi = ens.sample_wigner(h.shape[0], ens.GAUSSIAN, -1.0, rng)
     return decay * h + fresh * xi
 
 
@@ -123,9 +123,9 @@ def goe_invariance_check(n: int, t: float, n_samples: int,
         raise ValueError(f"need a finite t >= 0, got {t}")
     top0, topt = [], []
     for _ in range(n_samples):
-        h0 = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
+        h0 = ens.sample_wigner(n, ens.GAUSSIAN, -1.0, rng)
         top0.append(ens.eigenvalues(h0, top=1)[0])
-        ht = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, rng, zero_diagonal=True)
+        ht = ens.sample_wigner(n, ens.GAUSSIAN, -1.0, rng)
         if t > 0.0:
             ht = evolve(ht, t, rng)
         topt.append(ens.eigenvalues(ht, top=1)[0])

@@ -3,9 +3,9 @@ the Ornstein-Uhlenbeck interpolation between them.
 
 The deformed model is H = lam0 * diag(V) + W with V iid from a potential
 measure (or held fixed) and W symmetric with independent centered entries,
-E w_ij^2 = 1/N off the diagonal and (1 + c2)/N on it.  The diagonal of W is
-removed by default; the resulting shift of the extreme eigenvalues is
-O(N^(-1)) and every experiment in the package runs in that convention.
+E w_ij^2 = 1/N off the diagonal and (1 + c2)/N on it.  c2 = -1, the
+default, zeroes that diagonal, and edge_matched_c2 gives 1 - s4; the choice
+moves the extreme eigenvalues by O(N^(-1)) and leaves their limit law alone.
 
 Every eigensolve runs on one OpenBLAS, the one bundled in numpy's wheel.
 Full symmetric eigendecompositions, with or without vectors (eigenvalues()
@@ -85,8 +85,7 @@ class EnsembleSpec:
     lam0: float
     potential: IIDFrom | Fixed
     law: str = GAUSSIAN
-    c2: float = 0.0
-    zero_diagonal: bool = True
+    c2: float = -1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -106,14 +105,14 @@ class EnsembleSpec:
                 raise ValueError("fixed potential values must be finite")
 
 
-def sample_wigner(n: int, law: str, c2: float, rng: np.random.Generator,
-                  zero_diagonal: bool = True) -> np.ndarray:
-    """Symmetric noise with E w_ij^2 = 1/N off-diagonal, (1+c2)/N on it
-    (zeroed when zero_diagonal)."""
+def sample_wigner(n: int, law: str, c2: float, rng: np.random.Generator
+                  ) -> np.ndarray:
+    """Symmetric noise with E w_ij^2 = 1/N off-diagonal, (1+c2)/N on it; c2 = -1
+    zeroes the diagonal after drawing it, so rng advances alike for every c2."""
     if n < 2:
         raise ValueError("need N >= 2")
     offdiag_sd = 1.0 / np.sqrt(n)
-    diag_sd = 0.0 if zero_diagonal else np.sqrt((1.0 + c2) / n)
+    diag_sd = np.sqrt((1.0 + c2) / n)
     w = np.empty((n, n))
     k = n * (n - 1) // 2
     if law == GAUSSIAN:
@@ -150,7 +149,7 @@ def sample_deformed(spec: EnsembleSpec, rng: np.random.Generator
     one O(N) check of the diagonal makes it a valid input for
     _top_eigenvalues."""
     v = draw_potential(spec, rng)
-    h = sample_wigner(spec.N, spec.law, spec.c2, rng, spec.zero_diagonal)
+    h = sample_wigner(spec.N, spec.law, spec.c2, rng)
     h[np.diag_indices(spec.N)] += spec.lam0 * v
     if not np.isfinite(h.diagonal()).all():
         raise ValueError("sampled matrix has a non-finite diagonal entry "
@@ -167,7 +166,7 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
         raise ValueError(f"need a finite t >= 0, got {t}")
     h, _ = sample_deformed(spec, rng)
     decay = np.exp(-t / 2.0)
-    goe = sample_wigner(spec.N, GAUSSIAN, 1.0, rng, zero_diagonal=True)
+    goe = sample_wigner(spec.N, GAUSSIAN, -1.0, rng)
     return decay * h + np.sqrt(1.0 - decay * decay) * goe
 
 

@@ -427,7 +427,7 @@ def regime_test(nu: ms.Measure, sigma0: float, delta: float, n_list,
             # value, which is what the TW1-family comparison assumes.
             spec = ens.EnsembleSpec(N=n, lam0=lam0, potential=ens.IIDFrom(nu),
                                     c2=ens.edge_matched_c2(ens.GAUSSIAN),
-                                    zero_diagonal=False, seed=seed)
+                                    seed=seed)
             pref = n ** (2.0 / 3.0)
             rows = _top_draws(spec, f"regime{n}", n_samples, 1)
             stats = np.array([pref * (mu[0] - e_plus) for mu, _, _ in rows])

@@ -52,15 +52,15 @@ def optical_median():
         t0 = time.time()
         eta = n ** (-2.0 / 3.0 - 0.05)
         spec = ens.EnsembleSpec(N=n, lam0=0.05, potential=ens.IIDFrom(two),
-                                law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
-        vals = []
-        for s in range(200):
-            h, v = ens.sample_deformed(spec,
-                                       rngstream.stream(909, "optc7",
-                                                        n * 100000 + s))
+                                law=ens.GAUSSIAN)
+
+        def window(rng):
+            h, v = ens.sample_deformed(spec, rng)
             sc = es.build(ms.empirical_from_values(v), 0.05)
-            vals.append(rv.optical_window(h, sc, eta, potential=v))
-        x = np.asarray(vals)
+            return rv.optical_window(h, sc, eta, potential=v)
+
+        x = np.asarray(rngstream.draws(909, "optc7",
+                                       range(n * 100000, n * 100000 + 200), window))
         return (abs(np.median(x.real) + 1j * np.median(x.imag)),
                 time.time() - t0)
 

@@ -159,13 +159,14 @@ def test_criterion_05_coefficient_cancellation():
 
 def test_criterion_06_resolvent_identities():
     t0 = time.time()
-    worst = 0.0
-    for s in range(100):
-        rng = rngstream.stream(43, "c6ident", s)
-        h = ens.sample_wigner(30, ens.GAUSSIAN, 1.0, rng, zero_diagonal=False)
+
+    def residual(rng) -> float:
+        h = ens.sample_wigner(30, ens.GAUSSIAN, 1.0, rng)
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.02, 1.0))
         i, j, k = (int(x) for x in rng.choice(30, size=3, replace=False))
-        worst = max(worst, max(rv.verify_identities(h, z, i, j, k).values()))
+        return max(rv.verify_identities(h, z, i, j, k).values())
+
+    worst = max(rngstream.draws(43, "c6ident", range(100), residual))
     el = time.time() - t0
     ok = worst < 1e-9 and el < 5.0
     _line(6, ok, f"resolvent identities, worst residual {worst:.2e} "
@@ -201,7 +202,7 @@ def test_criterion_08_edge_universality():
     for law, seed in ((ens.GAUSSIAN, 88), (ens.RADEMACHER, 89)):
         spec = ens.EnsembleSpec(N=500, lam0=0.5, potential=ens.IIDFrom(TWO),
                                 law=law, c2=ens.edge_matched_c2(law),
-                                zero_diagonal=False, seed=seed)
+                                seed=seed)
         results[law] = tw.mc_edge(spec, 2000)
     el = time.time() - t0
     ok = all(r.ks < 0.06 for r in results.values()) and el < 3600.0
@@ -287,9 +288,8 @@ def test_criterion_10_dbm_invariance_and_interpolation():
     for _ in range(500):
         h, _ = ens.sample_deformed(spec, rng)
         flowed.append(np.linalg.eigvalsh(dbm.evolve(h, 1.0, rng))[-1])
-    direct = [np.linalg.eigvalsh(
-        ens.sample_interpolated(spec, 1.0, rngstream.stream(63, "c10ref", k)))[-1]
-        for k in range(500)]
+    direct = rngstream.draws(63, "c10ref", range(500), lambda rng: np.linalg.eigvalsh(
+        ens.sample_interpolated(spec, 1.0, rng))[-1])
     interp = dbm.ks_two_sample(flowed, direct)
     el = time.time() - t0
     ok = all(v < band for v in inv.values()) and interp < 0.08 and el < 1800.0

@@ -276,6 +276,8 @@ def test_sample_accepts_matched_c2(tmp_path):
 # ---------------------------------------------------------------------------
 # Ensemble values: a rejected value exits 2 with a message, never a traceback.
 
+# the retired zero_diagonal switch is refused, as a flag and as a config value
+# other than the JSON boolean an old summary records
 BAD_ENSEMBLE = [("N", 1), ("lam0", -1.0), ("c2", -2.0), ("law", "cauchy"),
                 ("lam0", float("nan")), ("c2", float("inf")),
                 ("zero_diagonal", 5), ("zero_diagonal", -3)]
@@ -326,6 +328,10 @@ BAD_VALUES = [
                       '{"type":"atomic","atoms":[[false,0.5],[true,0.5]]}'], None),
     ("sample", ["--N", "2", "--potential",
                 '{"kind":"fixed","values":[true,false]}'], None),
+    # the retired zero_diagonal switch: never a flag, never a key of a command
+    # without c2, and never a value other than a summary's JSON boolean
+    ("dbm", ["--zero-diagonal", "1"], None), ("regime", [], {"zero_diagonal": True}),
+    ("mc-edge", [], {"zero_diagonal": 1}),
 ]
 
 
@@ -376,6 +382,31 @@ def test_bad_value_exits_2(tmp_path, capsys, command, flags, config):
     assert exit_code(*argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+# one small run of each command that takes c2
+C2_RUNS = {"sample": ["sample", "--N", "12", "--n", "2"],
+           "mc-edge": ["mc-edge", "--N", "30", "--n", "4"],
+           "dbm": ["dbm", "--N", "12", "--n", "2", "--times", "0", "0.5"]}
+
+
+@pytest.mark.parametrize("argv", C2_RUNS.values(), ids=C2_RUNS.keys())
+def test_a_recorded_zero_diagonal_replays_as_c2(tmp_path, argv):
+    # summaries written before c2 = -1 replaced the zero_diagonal switch
+    # record it as a JSON boolean: true is c2 = -1, false keeps the recorded c2
+    def csv_bytes(*extra, config=None):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            extra += ("--config", str(path))
+        out = tmp_path / "o.csv"
+        assert run(*argv, *extra, "--out", str(out)) == 0
+        return out.read_bytes()
+
+    zero, noisy = csv_bytes("--c2", "-1"), csv_bytes("--c2", "0.5")
+    assert zero != noisy
+    assert csv_bytes(config={"c2": 0.5, "zero_diagonal": True}) == zero
+    assert csv_bytes(config={"c2": 0.5, "zero_diagonal": False}) == noisy
 
 
 WRITERS = [["fc-solve", "--points", "11"], ["edge-scaling"], ["sample", "--N", "10"],

@@ -24,11 +24,11 @@ TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 def two_atom_spec(n, lam0=0.5):
     return ens.EnsembleSpec(N=n, lam0=lam0, potential=ens.IIDFrom(TWO),
-                            law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
+                            law=ens.GAUSSIAN)
 
 
 def wigner(n, seed, label):
-    return ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(seed, label))
+    return ens.sample_wigner(n, ens.GAUSSIAN, -1.0, stream(seed, label))
 
 
 # ------------------------------------------------------------- evolve
@@ -65,7 +65,7 @@ def test_stationary_law_from_zero():
 
 
 def test_variance_preserved_along_flow():
-    h = ens.sample_wigner(500, ens.GAUSSIAN, 0.0, stream(25, "varp"))
+    h = ens.sample_wigner(500, ens.GAUSSIAN, -1.0, stream(25, "varp"))
     off = ~np.eye(500, dtype=bool)
     for _, ht in dbm.flow(h, (0.5, 1.0, 4.0), stream(25, "varpn")):
         assert abs(500 * np.mean(ht[off] ** 2) - 1.0) < 0.01
@@ -217,8 +217,7 @@ def test_terminal_flow_reaches_goe_edge():
         assert t_end == pytest.approx(4.0 * math.log(n))
         term.append(np.linalg.eigvalsh(h_end)[-1])
         goe.append(np.linalg.eigvalsh(
-            ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(22, "goeref", k),
-                              zero_diagonal=True))[-1])
+            ens.sample_wigner(n, ens.GAUSSIAN, -1.0, stream(22, "goeref", k)))[-1])
     assert dbm.ks_two_sample(term, goe) < 0.1
 
 

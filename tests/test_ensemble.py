@@ -29,18 +29,18 @@ def two_atom_spec(n=500, lam0=0.5, law=en.GAUSSIAN, seed=7):
 
 
 def test_wigner_symmetry_and_reproducibility():
-    w1 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(1, "w"), zero_diagonal=False)
-    w2 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(1, "w"), zero_diagonal=False)
+    w1 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(1, "w"))
+    w2 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(1, "w"))
     assert w1[0, 1] == w1[1, 0]
     np.testing.assert_array_equal(w1, w2)
-    w3 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(2, "w"), zero_diagonal=False)
+    w3 = en.sample_wigner(2, en.GAUSSIAN, 0.0, stream(2, "w"))
     assert not np.array_equal(w1, w3)
 
 
 @pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
 def test_wigner_moments(law):
     n = 400
-    w = en.sample_wigner(n, law, 0.0, stream(3, "moments"), zero_diagonal=False)
+    w = en.sample_wigner(n, law, 0.0, stream(3, "moments"))
     iu = np.triu_indices(n, 1)
     off = w[iu]
     assert abs(off.mean()) < 4.0 / np.sqrt(off.size * n) * np.sqrt(n)
@@ -50,9 +50,17 @@ def test_wigner_moments(law):
         assert np.all(np.isin(np.abs(off), [1.0 / np.sqrt(n)]))
 
 
-def test_zero_diagonal_flag():
-    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(4, "zd"))
-    assert np.all(np.diag(w) == 0.0)
+def test_c2_minus_one_zeroes_the_diagonal_and_still_draws_it():
+    # the diagonal draws are taken and scaled by 0, so the off-diagonal
+    # entries, and the next draw of the stream, are those of c2 = 1
+    off = ~np.eye(50, dtype=bool)
+    for law in (en.GAUSSIAN, en.RADEMACHER):
+        rng, ref = stream(4, "zd"), stream(4, "zd")
+        w = en.sample_wigner(50, law, -1.0, rng)
+        noisy = en.sample_wigner(50, law, 1.0, ref)
+        assert np.all(np.diag(w) == 0.0) and np.all(np.diag(noisy) != 0.0)
+        assert w[off].tobytes() == noisy[off].tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_edge_matched_c2():
@@ -67,8 +75,7 @@ def test_edge_matched_c2():
 def test_goe_edge_reaches_two():
     tops = []
     for i in range(20):
-        w = en.sample_wigner(1000, en.GAUSSIAN, 1.0, stream(5, "goe-edge", i),
-                             zero_diagonal=False)
+        w = en.sample_wigner(1000, en.GAUSSIAN, 1.0, stream(5, "goe-edge", i))
         tops.append(en.eigenvalues(w)[0])
     assert np.mean(tops) / 2.0 == pytest.approx(1.0, abs=0.05)
 
@@ -77,7 +84,7 @@ def test_deformed_structure():
     spec = two_atom_spec(n=200)
     h, v = en.sample_deformed(spec, stream(spec.seed, "sample"))
     assert np.all(np.isin(v, [-1.0, 1.0]))
-    np.testing.assert_allclose(np.diag(h), spec.lam0 * v)  # zero_diagonal noise
+    np.testing.assert_allclose(np.diag(h), spec.lam0 * v)  # c2 = -1: no noise
     assert np.max(np.abs(h - h.T)) == 0.0
 
 
@@ -138,7 +145,7 @@ def test_eigenvalues_reject_non_finite_entries(bad, pos, top):
 @pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
 @pytest.mark.parametrize("n", [2, 50, 500])
 def test_top_k_is_the_head_of_the_full_spectrum(n, law):
-    h = en.sample_wigner(n, law, 1.0, stream(12, "topk", n), zero_diagonal=False)
+    h = en.sample_wigner(n, law, 1.0, stream(12, "topk", n))
     full = en.eigenvalues(h)
     for k in sorted({min(k, n) for k in (1, 20, n)}):
         top = en.eigenvalues(h, top=k)
@@ -184,8 +191,7 @@ def _lapack_calls(count_calls):
 def test_top_one_matches_the_high_precision_oracle(count_calls):
     # the certified float32 route, with no dsyevr call, against mpmath
     oracle = json.loads((DATA / "eig50.json").read_text())
-    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
-                         zero_diagonal=False)
+    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"))
     dtypes = _lapack_calls(count_calls)
     top = en.eigenvalues(w, top=1)
     assert dtypes() == [np.float32]
@@ -343,23 +349,25 @@ def test_sampler_rejects_an_overflowing_potential_term():
 
 def test_sampler_rejects_an_infinite_diagonal_weight():
     spec = en.EnsembleSpec(N=4, lam0=0.0, potential=en.Fixed(np.zeros(4)),
-                           zero_diagonal=False)
+                           c2=0.0)
     # past the spec's own check, which rejects c2 = inf
     object.__setattr__(spec, "c2", np.inf)
     with pytest.raises(ValueError, match="non-finite"):
         en.sample_deformed(spec, stream(16, "c2"))
 
 
-@pytest.mark.parametrize("zero_diagonal", [True, False])
+@pytest.mark.parametrize("zeroed", [True, False])
 @pytest.mark.parametrize("law", [en.GAUSSIAN, en.RADEMACHER])
 @pytest.mark.parametrize("n", [2, 3, 50])
-def test_row_wise_fill_matches_the_triu_scatter(n, law, zero_diagonal):
-    # the same draws, scattered with np.triu_indices as the sampler once did
-    w = en.sample_wigner(n, law, 1.0, stream(13, "fill", n), zero_diagonal)
+def test_row_wise_fill_matches_the_triu_scatter(n, law, zeroed):
+    # the same draws, scattered with np.triu_indices as the sampler once did;
+    # c2 = -1 zeroes the diagonal, c2 = 1 gives it variance 2/N
+    c2 = -1.0 if zeroed else 1.0
+    w = en.sample_wigner(n, law, c2, stream(13, "fill", n))
     rng = stream(13, "fill", n)
     k = n * (n - 1) // 2
     off_sd = 1.0 / np.sqrt(n)
-    diag_sd = 0.0 if zero_diagonal else np.sqrt(2.0 / n)
+    diag_sd = 0.0 if zeroed else np.sqrt(2.0 / n)
     if law == en.GAUSSIAN:
         off = rng.standard_normal(k) * off_sd
         diag = rng.standard_normal(n) * diag_sd
@@ -376,8 +384,7 @@ def test_row_wise_fill_matches_the_triu_scatter(n, law, zero_diagonal):
 
 def test_eigenvalues_match_high_precision_oracle():
     oracle = json.loads((DATA / "eig50.json").read_text())
-    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"),
-                         zero_diagonal=False)
+    w = en.sample_wigner(50, en.GAUSSIAN, 1.0, stream(2024, "eig50"))
     ev = en.eigenvalues(w)
     assert np.max(np.abs(ev - np.array(oracle["eigenvalues_desc"]))) < 1e-8
 
@@ -466,7 +473,7 @@ def test_spectra_files_round_trip(tmp_path):
 @settings(max_examples=25)
 @given(st.integers(2, 12), st.floats(-3, 3), st.integers(0, 2**32 - 1))
 def test_shift_equivariance(n, c, seed):
-    w = en.sample_wigner(n, en.GAUSSIAN, 1.0, stream(seed, "hyp"), zero_diagonal=False)
+    w = en.sample_wigner(n, en.GAUSSIAN, 1.0, stream(seed, "hyp"))
     ev = en.eigenvalues(w)
     ev_shift = en.eigenvalues(w + c * np.eye(n))
     np.testing.assert_allclose(ev_shift, ev + c, atol=1e-10)

@@ -23,11 +23,6 @@ D0 = ms.Atomic(np.array([0.0]), np.array([1.0]))
 TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
-def semicircle_m(z):
-    m = (-z + np.sqrt(z * z - 4.0 + 0j)) / 2.0
-    return m if m.imag >= 0 else (-z - np.sqrt(z * z - 4.0 + 0j)) / 2.0
-
-
 def test_point_mass_is_semicircle_at_i():
     m = fc.solve_point(D0, 0.7, 1.0, 1j)
     assert m == pytest.approx(1j * (np.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)

@@ -27,8 +27,7 @@ TWO = ms.Atomic(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 def goe_like(n, seed, label="res"):
     # nonzero diagonal on purpose: the identities must not depend on it
-    return ens.sample_wigner(n, ens.GAUSSIAN, 1.0, stream(seed, label),
-                             zero_diagonal=False)
+    return ens.sample_wigner(n, ens.GAUSSIAN, 1.0, stream(seed, label))
 
 
 # ---------------------------------------------------------------- green
@@ -108,7 +107,7 @@ def test_local_law_semicircle_calibrated():
         z = 2.0 + 1j * n ** (-2.0 / 3.0)
         rows = []
         for s in range(nseeds):
-            h = ens.sample_wigner(n, ens.GAUSSIAN, 0.0, stream(55, "llsc", s))
+            h = ens.sample_wigner(n, ens.GAUSSIAN, -1.0, stream(55, "llsc", s))
             r_m, r_off, r_diag, pi = rv.local_law_residuals(h, sc, z,
                                                             np.zeros(n))
             assert pi > 0
@@ -122,7 +121,7 @@ def test_local_law_semicircle_calibrated():
 
 def test_local_law_deformed_empirical_scaling():
     spec = ens.EnsembleSpec(N=400, lam0=0.5, potential=ens.IIDFrom(TWO),
-                            law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
+                            law=ens.GAUSSIAN)
     rows = []
     for s in range(10):
         h, v = ens.sample_deformed(spec, stream(77, "lldf", s))
@@ -162,7 +161,7 @@ def test_local_law_rejects_a_non_symmetric_matrix():
 
 def deformed_sample(n, lam0, seed_base, label, s):
     spec = ens.EnsembleSpec(N=n, lam0=lam0, potential=ens.IIDFrom(TWO),
-                            law=ens.GAUSSIAN, c2=0.0, zero_diagonal=True)
+                            law=ens.GAUSSIAN)
     h, v = ens.sample_deformed(spec, stream(seed_base, label, s))
     return h, v, es.build(ms.empirical_from_values(v), lam0)
 
@@ -216,8 +215,7 @@ def optical_window_loop(h, scaling, eta, v):
 
 @pytest.mark.parametrize("n", [100, 400])
 def test_optical_window_matches_the_pointwise_loop(n):
-    spec = ens.EnsembleSpec(N=n, lam0=0.05, potential=ens.IIDFrom(TWO),
-                            zero_diagonal=False)
+    spec = ens.EnsembleSpec(N=n, lam0=0.05, potential=ens.IIDFrom(TWO), c2=0.0)
     eta = n ** (-2.0 / 3.0 - 0.05)
     for s in range(3):
         h, v = ens.sample_deformed(spec, stream(909, "optloop", n * 10 + s))

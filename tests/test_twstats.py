@@ -372,7 +372,7 @@ def test_sample_count_must_be_a_positive_integer(run, bad):
 def test_mc_edge_undeformed_ks():
     spec = ens.EnsembleSpec(N=300, lam0=0.0,
                             potential=ens.Fixed(np.zeros(300)),
-                            c2=1.0, zero_diagonal=False, seed=31)
+                            c2=1.0, seed=31)
     r = tw.mc_edge(spec, 500)
     assert r.samples.shape == (500, 1)
     assert r.ks < 0.08
@@ -395,14 +395,14 @@ def test_mc_edge_shift_equivariance():
 def test_mc_edge_top2_matches_independent_goe():
     n, reps = 250, 400
     spec = ens.EnsembleSpec(N=n, lam0=0.0, potential=ens.Fixed(np.zeros(n)),
-                            c2=1.0, zero_diagonal=False, seed=32)
+                            c2=1.0, seed=32)
     r = tw.mc_edge(spec, reps, top_k=2)
     assert r.samples.shape == (reps, 2)
     assert np.all(r.samples[:, 0] >= r.samples[:, 1])
     goe2 = np.empty(reps)
     for j in range(reps):
         rng = rngstream.stream(33, "goetref", j)
-        w = ens.sample_wigner(n, ens.GAUSSIAN, 1.0, rng, zero_diagonal=False)
+        w = ens.sample_wigner(n, ens.GAUSSIAN, 1.0, rng)
         goe2[j] = n ** (2.0 / 3.0) * (np.linalg.eigvalsh(w)[-2] - 2.0)
     a, b = np.sort(r.samples[:, 1]), np.sort(goe2)
     both = np.concatenate([a, b])
