@@ -5,7 +5,9 @@ Two measure variants cover every experiment in the package:
 * ``Atomic``: finitely many weighted point masses, the carrier of empirical
   potential distributions.
 * ``Jacobi``: density proportional to (1+v)^a (1-v)^b on [-1, 1] with
-  a, b > -1, integrated in closed form ((1+v)/2 is Beta(a+1, b+1)).
+  a, b > -1, integrated in closed form ((1+v)/2 is Beta(a+1, b+1)) by
+  scipy's hyp2f1 at real and near poles, and at far complex poles by a
+  Golub-Welsch Gauss-Jacobi rule on numpy alone.
 
 Every pole integral against a measure is one function, deformed_power:
 integral v^w dnu(v) / (s v - p)^n, at the complex pole p = z + gamma^2 m
@@ -108,9 +110,11 @@ def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
     end (Gauss's sum, DLMF 15.4.20, or +inf): with x = 2 scale/(pole +
     scale), (-1)^n (pole + scale)^(-n) 2F1(n, a+1; a+b+2; x); weight 1 is
     2(a+1)/(a+b+2) times that with (a+2; a+b+3), minus the weight-0 value.
-    scipy's complex 2F1 fails near x = exp(+-i pi/3), so a non-real pole
-    with Bernstein radius rho(pole/scale) >= 1.5 takes a 40-node
-    Gauss-Jacobi rule instead, accurate to about rho^-80."""
+    scipy's complex 2F1 fails near x = exp(+-i pi/3), so it sees only real
+    poles and those of Bernstein radius rho(pole/scale) < 1.5; the rest take
+    the 40-node Gauss-Jacobi rule, whose relative error just outside rho = 1.5
+    measured 2e-14, 1.4e-12 and 1.5e-10 at n = 1, 2, 3.  The complex-pole
+    callers (freeconv's maps, stieltjes) take n <= 2."""
     p = np.asarray(pole)
     if isinstance(m, Atomic):
         d = scale * m.locations - p[..., None]
@@ -119,29 +123,40 @@ def deformed_power(m: Measure, scale: float, pole, n: int, weight: int = 0):
             t /= d
         val = np.sum(t, axis=-1)
     else:
-        from scipy.special import hyp2f1
-        front, x = (-1.0 / (p + scale)) ** n, 2.0 * scale / (p + scale)
-        a1, c = m.a + 1.0, m.a + m.b + 2.0
-        val = front * hyp2f1(n, a1, c, x)
-        if weight:
-            val = 2.0 * a1 / c * front * hyp2f1(n, a1 + 1.0, c + 1.0, x) - val
-        if scale and np.iscomplexobj(p):
-            # rho(w) + 1/rho(w) = |w - 1| + |w + 1|, at w = p / scale
-            far = (p.imag != 0) & (abs(p - scale) + abs(p + scale)
-                                   >= (1.5 + 1 / 1.5) * abs(scale))
+        # rho(w) + 1/rho(w) = |w - 1| + |w + 1|, at w = p / scale
+        far = (p.imag != 0) & (abs(p - scale) + abs(p + scale)
+                               >= (1.5 + 1 / 1.5) * abs(scale))
+        val = np.zeros(p.shape, np.result_type(p, float))
+        if not far.all():
+            from scipy.special import hyp2f1
+            y, a1, c = p[~far] + scale, m.a + 1.0, m.a + m.b + 2.0
+            front, x = (-1.0 / y) ** n, 2.0 * scale / y
+            near = front * hyp2f1(n, a1, c, x)
+            if weight:
+                near = 2.0 * a1 / c * front * hyp2f1(n, a1 + 1.0, c + 1.0, x) - near
+            val[~far] = near
+        if far.any():
             v, q = _gauss_jacobi(m.a, m.b)
-            val = np.array(val)
             val[far] = (q * v ** weight / (scale * v - p[far][:, None]) ** n).sum(-1)
-            val = val[()]
+        val = val[()]
     return val.real if np.isrealobj(p) else val
 
 
 @lru_cache(maxsize=32)
 def _gauss_jacobi(a: float, b: float):
-    """40-node Gauss-Jacobi rule for Jacobi(a, b), weights summing to 1."""
-    from scipy.special import roots_jacobi
-    v, q = roots_jacobi(40, b, a)
-    return v, q / q.sum()
+    """40-node Gauss-Jacobi rule for Jacobi(a, b), weights summing to 1, by
+    Golub-Welsch: the eigenvalues and squared first eigenvector entries of the
+    monic recurrence matrix for the weight (1-v)^al (1+v)^be, al = b, be = a.
+    Its k = 0 diagonal and k = 1 off-diagonal are in cancelled form, so
+    al + be = 0 or -1 needs no branch."""
+    al, be, k = b, a, np.arange(1.0, 40.0)
+    s = 2 * k + al + be
+    diag = np.append((be - al) / s[0], (be - al) * (be + al) / (s * (s + 2)))
+    k, t = k[1:], s[1:]
+    off2 = np.append(4 * (1 + al) * (1 + be) / (s[0] ** 2 * (s[0] + 1)),
+                     4 * k * (k + al) * (k + be) * (k + al + be) / (t * t * (t + 1) * (t - 1)))
+    v, u = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+    return v, u[0] ** 2 / (u[0] ** 2).sum()
 
 
 def mean(m: Measure) -> float:

@@ -744,7 +744,8 @@ def test_start_up_and_atomic_commands_never_load_scipy(tmp_path):
     # every command is a fresh process, so each scipy module the import
     # pulls in is paid on every run: the Painleve table steps its own RK4
     # from stored Airy data, the eigensolves bind numpy's own LAPACK, and
-    # scipy.special is imported only for Jacobi laws
+    # scipy.special is imported only for a Jacobi law's real poles and its
+    # complex poles inside rho = 1.5
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
@@ -754,3 +755,35 @@ def test_start_up_and_atomic_commands_never_load_scipy(tmp_path):
     assert out.stderr.splitlines() == [
         "mc-edge 0", "regime 0", "tw-table 0", "verify 0", "edge-scaling 0",
         "edge-scaling 0"]
+
+
+_JACOBI_PROBE = """
+import contextlib, io, json, sys
+import dwedge.cli as cli
+from dwedge import measure as ms
+
+def loaded():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+ms.stieltjes(ms.Jacobi(1.0, 1.0), 3j)
+loaded()
+jacobi = json.dumps({"type": "jacobi", "a": 1, "b": 1})
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["mc-edge", "--N", "20", "--n", "3", "--potential", jacobi,
+                     "--out", sys.argv[1]])
+print("mc-edge", code, file=sys.stderr)
+loaded()
+"""
+
+
+def test_far_jacobi_poles_and_a_jacobi_mc_edge_never_load_scipy(tmp_path):
+    # 3i is a far pole, so the Stieltjes transform takes the Golub-Welsch
+    # rule on numpy; mc-edge samples the Jacobi potential and integrates only
+    # the empirical measure of each draw
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _JACOBI_PROBE, str(tmp_path / "mc")],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.stdout.splitlines() == ["[]"] * 2
+    assert out.stderr.splitlines() == ["mc-edge 0"]

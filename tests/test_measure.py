@@ -127,6 +127,64 @@ def test_jacobi_deformed_power_near_the_support(a, b):
                 assert abs(got - want) <= 1e-10 * abs(want), (scale, pole, n, weight)
 
 
+# poles 0.1% inside and outside the Bernstein ellipse rho = 1.5 of scale 0.8,
+# where deformed_power switches from hyp2f1 to the 40-node rule, at three angles
+SWITCH_POLES = [0.4 * ((r + 1 / r) * math.cos(t) + 1j * (r - 1 / r) * math.sin(t))
+                for r in (1.5 / 1.001, 1.5 * 1.001) for t in (0.4, math.pi / 2, 2.5)]
+
+
+@pytest.mark.parametrize("a,b", JACOBI_LAWS)
+def test_jacobi_deformed_power_across_the_rule_switch(a, b):
+    for pole in SWITCH_POLES:
+        for n in (1, 2):
+            for weight in (0, 1):
+                got = ms.deformed_power(ms.Jacobi(a, b), 0.8, pole, n, weight)
+                want = complex(ref.deformed_power(a, b, 0.8, pole, n, weight))
+                assert abs(got - want) <= 1e-11 * abs(want), (pole, n, weight)
+
+
+# a + b = 0, a + b = -1, exponents near -1, and lopsided laws
+RULE_LAWS = [(0.0, 0.0), (0.3, -0.3), (-0.5, -0.5), (-0.9, -0.1), (-0.99, -0.99),
+             (-0.999, 0.5), (20.0, 0.5), (-0.4, 0.7), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a,b", RULE_LAWS)
+def test_gauss_jacobi_rule_against_scipy_and_the_moments(a, b):
+    from scipy.special import roots_jacobi
+    v, q = ms._gauss_jacobi(a, b)
+    assert v.shape == q.shape == (40,)
+    assert -1.0 < v[0] and v[-1] < 1.0 and np.all(np.diff(v) > 0)
+    assert np.all(q > 0) and abs(q.sum() - 1.0) <= 1e-15
+    # a 40-node rule integrates polynomials of degree <= 79 exactly
+    med = ms.Jacobi(a, b)
+    for k in range(1, 9):
+        assert abs(q @ (v - ms.mean(med)) ** k - ms.central_moment(med, k)) <= 1e-14, k
+    np.testing.assert_allclose(v, roots_jacobi(40, b, a)[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_hyp2f1_never_sees_a_far_pole(monkeypatch, weight):
+    import scipy.special
+    seen, hyp2f1 = [], scipy.special.hyp2f1
+
+    def spy(n, a, c, x):
+        seen.append(np.asarray(x).copy())
+        return hyp2f1(n, a, c, x)
+
+    monkeypatch.setattr(scipy.special, "hyp2f1", spy)
+    med = ms.Jacobi(1.0, 1.0)
+    # at scale 1 a pole is far when |p - 1| + |p + 1| >= 1.5 + 1/1.5
+    near = np.array([0.3 + 1e-2j, 1.05 + 1e-2j, 2.5 + 0j])
+    far = np.array([1.6j, 0.3 + 1.6j, -2.0 + 0.5j])
+    got = ms.deformed_power(med, 1.0, np.concatenate((far[:1], near, far[1:])), 2, weight)
+    assert [x.size for x in seen] == [near.size] * (1 + weight)
+    np.testing.assert_allclose(got[1:4], ms.deformed_power(med, 1.0, near, 2, weight),
+                               rtol=1e-15, atol=0)
+    seen.clear()
+    ms.deformed_power(med, 1.0, far, 2, weight)
+    assert seen == []
+
+
 def test_stieltjes_rejects_lower_half_plane():
     m = ms.Atomic(np.array([0.0]), np.array([1.0]))
     for bad in (1.0 - 1j, 2.0):
