@@ -5,9 +5,9 @@ Two measure variants cover every experiment in the package:
 * ``Atomic``: finitely many weighted point masses, the carrier of empirical
   potential distributions.
 * ``Jacobi``: density proportional to (1+v)^a (1-v)^b on [-1, 1] with
-  a, b > -1, integrated in closed form ((1+v)/2 is Beta(a+1, b+1)) by
-  scipy's hyp2f1 at real and near poles, and at far complex poles by a
-  Golub-Welsch Gauss-Jacobi rule on numpy alone.
+  a, b > -1, integrated in closed form ((1+v)/2 is Beta(a+1, b+1)) with
+  scipy's hyp2f1 at real and near poles, and by a Golub-Welsch (1969)
+  Gauss-Jacobi rule on numpy alone at far complex poles.
 
 Every pole integral against a measure is one function, deformed_power:
 integral v^w dnu(v) / (s v - p)^n, at the complex pole p = z + gamma^2 m
@@ -152,9 +152,9 @@ def _gauss_jacobi(a: float, b: float):
     al, be, k = b, a, np.arange(1.0, 40.0)
     s = 2 * k + al + be
     diag = np.append((be - al) / s[0], (be - al) * (be + al) / (s * (s + 2)))
-    k, t = k[1:], s[1:]
-    off2 = np.append(4 * (1 + al) * (1 + be) / (s[0] ** 2 * (s[0] + 1)),
-                     4 * k * (k + al) * (k + be) * (k + al + be) / (t * t * (t + 1) * (t - 1)))
+    off2 = 4 * k * (k + al) * (k + be) * (k + al + be)
+    off2[1:] /= s[1:] * s[1:] * (s[1:] + 1) * (s[1:] - 1)
+    off2[0] = 4 * (1 + al) * (1 + be) / (s[0] ** 2 * (s[0] + 1))
     v, u = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
     return v, u[0] ** 2 / (u[0] ** 2).sum()
 

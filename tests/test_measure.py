@@ -168,7 +168,7 @@ def test_hyp2f1_never_sees_a_far_pole(monkeypatch, weight):
     seen, hyp2f1 = [], scipy.special.hyp2f1
 
     def spy(n, a, c, x):
-        seen.append(np.asarray(x).copy())
+        seen.append(np.size(x))
         return hyp2f1(n, a, c, x)
 
     monkeypatch.setattr(scipy.special, "hyp2f1", spy)
@@ -177,7 +177,7 @@ def test_hyp2f1_never_sees_a_far_pole(monkeypatch, weight):
     near = np.array([0.3 + 1e-2j, 1.05 + 1e-2j, 2.5 + 0j])
     far = np.array([1.6j, 0.3 + 1.6j, -2.0 + 0.5j])
     got = ms.deformed_power(med, 1.0, np.concatenate((far[:1], near, far[1:])), 2, weight)
-    assert [x.size for x in seen] == [near.size] * (1 + weight)
+    assert seen == [near.size] * (1 + weight)
     np.testing.assert_allclose(got[1:4], ms.deformed_power(med, 1.0, near, 2, weight),
                                rtol=1e-15, atol=0)
     seen.clear()
