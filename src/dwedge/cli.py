@@ -9,7 +9,8 @@ reproducing its own run.
 
 All randomness flows from the 64-bit master seed through named counter
 streams: every sampled command maps its per-sample function through
-rngstream.draws, so sample j's draws depend only on the seed and on j.
+rngstream.draws, so sample j's draws depend only on the seed and on j, and
+the samples run on one process per usable CPU (mc-edge: --workers).
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error or an
 unwritable output, 3 verification-suite failure.
@@ -252,13 +253,15 @@ def cmd_sample(cfg: dict) -> int:
 MC_DEFAULTS = {
     "N": 300, "lam0": 0.0, "potential": "zeros", "law": ens.GAUSSIAN,
     "c2": "matched", "seed": 0, "n": 200,
-    "top_k": 1, "workers": 1, "out": None,
+    "top_k": 1, "workers": None, "out": None,
 }
 
 
 def cmd_mc_edge(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    result = tw.mc_edge(spec, cfg["n"], top_k=cfg["top_k"])
+    # the summary records the number of processes the samples ran on
+    cfg = dict(cfg, workers=rngstream.pool_size(cfg["workers"], cfg["n"]))
+    result = tw.mc_edge(spec, cfg["n"], top_k=cfg["top_k"], workers=cfg["workers"])
     cfg = dict(cfg, c2=spec.c2, potential=ens.potential_to_json(spec.potential))
     csv_text = _csv("sample," + ",".join(f"s{j + 1}" for j in range(cfg["top_k"])),
                     ((idx, *row) for idx, row in enumerate(result.samples)))
@@ -506,9 +509,10 @@ _FLAGS = {
     "n": {"type": _int_arg, "help": "number of samples (dbm: of trajectories)"},
     "format": {"choices": ["csv", "binary"]},
     "top_k": {"type": _int_arg},
-    "workers": {"type": _int_arg, "choices": [1],
-                "help": "samples run in one loop; the flag stays, at 1, so "
-                        "recorded runs and summaries replay"},
+    "workers": {"type": _int_arg,
+                "help": "processes the samples run on, at most one per usable "
+                        "CPU (default: one per usable CPU); every count gives "
+                        "the same output under OPENBLAS_NUM_THREADS=1"},
     "sigma0": {"type": _finite_float},
     "delta": {"type": _finite_float},
     "sizes": {"type": _int_arg, "nargs": "+", "metavar": "N"},

@@ -16,6 +16,11 @@ ssyevr on a float32 copy, accepted only with a double-precision
 certificate that it is within 1e-10 * ||H|| of mu_1 (_top_eigenvalues),
 whose norm, QR and product are numpy's too.  A numpy without that library
 makes the same ?syevr calls through scipy.linalg, imported on first use.
+The same ctypes open binds that library's thread-count functions, with
+which rngstream.draws, the one place that forks, runs each share of its
+pool at one BLAS thread: a partial spectrum's last digits depend on the
+thread count, so the draws are byte-identical for every worker count at
+one thread, and differ by about 1e-13 * ||H|| from a run at several.
 Backward error of either double factorization is far below the contract,
 and both routes are spot-checked in the tests against a high-precision
 oracle at N = 50.
@@ -170,25 +175,31 @@ def sample_interpolated(spec: EnsembleSpec, t: float,
     return decay * h + np.sqrt(1.0 - decay * decay) * goe
 
 
-def _lapacke_syevr() -> dict:
+def _lapacke_syevr() -> tuple[dict, tuple]:
     """LAPACKE ?syevr of the ILP64 OpenBLAS bundled in numpy's wheel
-    (numpy.libs), keyed by dtype; empty when numpy was built without it."""
+    (numpy.libs), keyed by dtype, and that library's (get, set) thread-count
+    functions; ({}, ()) when numpy was built without it."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
         lib = ctypes.CDLL(glob.glob(os.path.join(libs, "*openblas64_*.so*"))[0])
         fns = {np.dtype(t): getattr(lib, f"scipy_LAPACKE_{c}syevr64_")
                for c, t in (("s", np.float32), ("d", np.float64))}
+        threads = (lib.scipy_openblas_get_num_threads64_,
+                   lib.scipy_openblas_set_num_threads64_)
     except (IndexError, OSError, AttributeError):
-        return {}
+        return {}, ()
     for dtype, fn in fns.items():
         i, p, x = ctypes.c_int64, ctypes.c_void_p, np.ctypeslib.as_ctypes_type(dtype)
         # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
         fn.argtypes = [ctypes.c_int, *[ctypes.c_char] * 3, i, p, i, x, x, i, i, x, p, p, p, i, p]
         fn.restype = i
-    return fns
+    threads[0].argtypes, threads[0].restype = [], ctypes.c_int
+    threads[1].argtypes, threads[1].restype = [ctypes.c_int], None
+    return fns, threads
 
 
-_SYEVR = _lapacke_syevr()
+# rngstream.draws pins each share of a forked pool to one thread with _BLAS_THREADS
+_SYEVR, _BLAS_THREADS = _lapacke_syevr()
 
 
 def _evr(a: np.ndarray, lo: int, vectors: bool) -> tuple:

@@ -74,6 +74,10 @@ class IterationError(RuntimeError):
         self.residual = residual
         self.index = index
 
+    def __reduce__(self):
+        # all three arguments, so that it unpickles after crossing a pool's pipe
+        return type(self), (self.args[0], self.residual, self.index)
+
 
 class AssumptionViolatedError(ValueError):
     """The (nu, lam) pair admits no regular square-root edge."""

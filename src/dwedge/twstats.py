@@ -261,14 +261,15 @@ def _check_n_samples(n_samples) -> None:
 
 
 def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
-               rescale=None) -> list:
+               rescale=None, workers: int | None = None) -> list:
     """(top k eigenvalues, whether a top-1 solve fell back to dsyevr,
     rescale(nu-hat)) per draw, in sample order.
 
     Sample j draws (H, V) through rngstream.draws on the stream
     (spec.seed, label, j), so no row depends on another.  rescale of the
     empirical potential measure nu-hat is built once under a Fixed
-    potential and once per draw otherwise; without rescale it is None."""
+    potential and once per draw otherwise; without rescale it is None.
+    workers goes to rngstream.draws."""
     fixed = rescale is not None and isinstance(spec.potential, ens.Fixed)
     shared = rescale(ms.empirical_from_values(spec.potential.values)) if fixed else None
 
@@ -277,7 +278,7 @@ def _top_draws(spec: ens.EnsembleSpec, label: str, n_samples: int, k: int,
         aux = shared if fixed or rescale is None else rescale(ms.empirical_from_values(v))
         return (*ens._top_eigenvalues(h, k), aux)
 
-    return rngstream.draws(spec.seed, label, range(n_samples), one)
+    return rngstream.draws(spec.seed, label, range(n_samples), one, workers)
 
 
 _RIG_ETA = 1e-7
@@ -340,14 +341,17 @@ class MCRunResult:
     runtime: float
 
 
-def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1) -> MCRunResult:
+def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1,
+            workers: int | None = None) -> MCRunResult:
     """Monte Carlo of the rescaled top eigenvalues.
 
     Each sample draws its own potential, rebuilds (gamma0, E-plus-hat)
     from the empirical potential measure, and emits
     gamma0 N^{2/3} (mu_j - E-plus-hat) for j <= top_k, one row of an
     (n_samples, top_k) array.  Sample j uses the RNG stream
-    (spec.seed, "mc_edge", j), so a rerun is byte-identical.
+    (spec.seed, "mc_edge", j), so a rerun is byte-identical, and the
+    samples run on rngstream.draws's pool of workers processes (None: one
+    per usable CPU).
     """
     _check_n_samples(n_samples)
     if not 1 <= top_k <= spec.N:
@@ -355,7 +359,7 @@ def mc_edge(spec: ens.EnsembleSpec, n_samples: int, top_k: int = 1) -> MCRunResu
     t0 = time.perf_counter()
     n23 = spec.N ** (2.0 / 3.0)
     rows = _top_draws(spec, "mc_edge", n_samples, top_k,
-                      lambda nu_hat: es.build(nu_hat, spec.lam0))
+                      lambda nu_hat: es.build(nu_hat, spec.lam0), workers)
     samples = np.array([sc.gamma * n23 * (mu - sc.e_plus) for mu, _, sc in rows])
     return MCRunResult(samples=samples,
                        e_plus=np.array([sc.e_plus for _, _, sc in rows]),

@@ -15,9 +15,46 @@ settings.load_profile("default")
 
 
 @pytest.fixture
-def count_calls(monkeypatch):
+def force_workers(monkeypatch):
+    """force_workers(w) makes every rngstream.draws call of this test run on
+    w workers, whatever its caller passes."""
+    from dwedge import rngstream
+
+    real = rngstream.draws
+
+    def force(w):
+        def draws(seed, purpose, indices, fn, workers=None):
+            return real(seed, purpose, indices, fn, w)
+
+        monkeypatch.setattr(rngstream, "draws", draws)
+
+    return force
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's bundled OpenBLAS at one thread for this test, as under
+    OPENBLAS_NUM_THREADS=1, so that a serial loop's digits are those of a
+    pool's shares."""
+    from dwedge import ensemble as ens
+
+    if not ens._BLAS_THREADS:
+        pytest.skip("numpy without its bundled OpenBLAS runs no pool")
+    get, put = ens._BLAS_THREADS
+    before = get()
+    put(1)
+    yield
+    put(before)
+
+
+@pytest.fixture
+def count_calls(monkeypatch, force_workers):
     """count(module, name) wraps module.name for this test and returns the
-    list that records the positional arguments of each call."""
+    list that records the positional arguments of each call.  rngstream.draws
+    runs serially for the test, so that every call is made in this process,
+    where the wrapper counts it."""
+    force_workers(1)
+
     def count(module, name):
         calls = []
         real = getattr(module, name)

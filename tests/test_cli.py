@@ -495,9 +495,10 @@ def test_every_summary_replays(tmp_path, argv):
         assert json.dumps(first) == json.dumps(again)
 
 
-def test_mc_edge_workers_takes_only_1(tmp_path, capsys):
-    # samples run in one loop; --workers stays so that recorded runs and
-    # summaries, which carry workers 1, still replay
+def test_mc_edge_workers_give_the_same_csv(tmp_path, capsys, one_blas_thread):
+    # at one BLAS thread every worker count gives the same bytes; the summary
+    # records the count the samples ran on, and summaries that carry
+    # workers 1 still replay
     argv = ["mc-edge", "--n", "5", "--N", "40", "--seed", "3"]
     cfg = tmp_path / "cfg.json"
 
@@ -508,13 +509,21 @@ def test_mc_edge_workers_takes_only_1(tmp_path, capsys):
         summary.pop("runtime")
         return out.with_suffix(".csv").read_bytes(), summary
 
-    plain = output()
-    assert output("--workers", "1") == plain
+    csv, plain = output()
+    assert plain["config"]["workers"] == min(len(os.sched_getaffinity(0)), 5)
+    for extra in (["--workers", "1"], ["--workers", "2"]):
+        csv_w, summary = output(*extra)
+        assert csv_w == csv
+        assert summary["config"].pop("workers") == min(int(extra[1]),
+                                                       plain["config"]["workers"])
     cfg.write_text('{"workers": 1}')
-    assert output("--config", str(cfg)) == plain
-    cfg.write_text('{"workers": 2}')
-    for extra in (["--workers", "2"], ["--config", str(cfg)]):
-        assert exit_code(*argv, *extra) == 2
+    assert output("--config", str(cfg))[0] == csv
+    for bad in ('{"workers": 0}', '{"workers": 1.5}', '{"workers": true}'):
+        cfg.write_text(bad)
+        assert exit_code(*argv, "--config", str(cfg)) == 2
+        assert "workers" in capsys.readouterr().err
+    for bad in ("0", "-2", "1.5"):
+        assert exit_code(*argv, "--workers", bad) == 2
         assert "workers" in capsys.readouterr().err
 
 
